@@ -50,9 +50,9 @@ pub const ANALYSIS_FINGERPRINT: u64 = 3;
 
 /// The plan → specialization handoff: builds the instrumentation plan
 /// an instrumented run executes under, folding in the elision plan when
-/// `elide` is set. This is the single producer both execution tiers and
-/// the jit fusion pass key their specialization off, so "what the
-/// analyzer proved" can never diverge between consumers.
+/// `elide` is set. This is the single producer every consumer keys its
+/// specialization off, so "what the analyzer proved" can never diverge
+/// between them.
 #[must_use]
 pub fn instr_plan(program: &ifp_compiler::ir::Program, elide: bool) -> ifp_compiler::InstrPlan {
     if elide {

@@ -22,11 +22,6 @@
 //! `concurrent` (also not part of `all`) summarizes the shared-heap
 //! multi-threaded mode: benign lock-free workloads under each
 //! reclamation tracker and the planted cross-thread detection matrix.
-//!
-//! `jit` (also not part of `all`) compares the execution tiers per
-//! workload: dynamic fusion coverage, dispatch breakdown, and the host
-//! wall-clock speedup of the fused tier — asserting along the way that
-//! the modeled statistics are bit-identical across tiers.
 
 use ifp_baselines::{temporal_row, Asan, Mte, SoftBound};
 use ifp_bench::{render, sweep_all_with_workers_cached};
@@ -250,21 +245,6 @@ fn main() {
             run_concurrent_mode();
             return;
         }
-        // And the execution-tier comparison: `tables jit`.
-        if mode == "jit" {
-            eprintln!("comparing execution tiers over 18 workloads ({workers} workers)...");
-            let cache = ifp_plancache::PlanCache::new();
-            let rows = ifp_bench::jit::report_with_workers_cached(
-                &ifp_workloads::all(),
-                workers,
-                Some(&cache),
-            );
-            println!(
-                "{}",
-                ifp_bench::jit::render_table_cached(&rows, Some(cache.stats()))
-            );
-            return;
-        }
     }
 
     let want = |name: &str| args.is_empty() || args.iter().any(|a| a == name || a == "all");
@@ -372,12 +352,7 @@ fn main() {
         let workloads = ifp_workloads::all();
         let plan_cache = ifp_plancache::PlanCache::new();
         let t0 = std::time::Instant::now();
-        let sweeps = sweep_all_with_workers_cached(
-            &workloads,
-            workers,
-            ifp_vm::ExecTier::default(),
-            Some(&plan_cache),
-        );
+        let sweeps = sweep_all_with_workers_cached(&workloads, workers, Some(&plan_cache));
         eprintln!("swept in {:.1}s", t0.elapsed().as_secs_f64());
 
         if want("table4") {
@@ -402,7 +377,7 @@ fn main() {
             // The artifact-cache telemetry rides the same section: the
             // sweep above already ran warm through a shared plan cache,
             // so its row is free. The Juliet row re-runs the whole
-            // spatial suite five times, so it only joins when the
+            // spatial suite four times, so it only joins when the
             // section was asked for by name — the default all-sections
             // run stays cheap.
             let mut rows = vec![ifp_bench::plan_cache::SuiteCache {

@@ -5,7 +5,6 @@
 
 pub mod ablation;
 pub mod analyze;
-pub mod jit;
 pub mod plan_cache;
 pub mod render;
 pub mod temporal;
@@ -13,7 +12,6 @@ pub mod temporal;
 use ifp::eval::ModeSweep;
 use ifp_plancache::PlanCache;
 use ifp_testutil::{default_workers, par_map};
-use ifp_vm::ExecTier;
 use ifp_workloads::Workload;
 use std::fmt;
 
@@ -49,15 +47,14 @@ pub fn try_sweep_all_with_workers(
     workloads: &[Workload],
     workers: usize,
 ) -> Result<Vec<ModeSweep>, Vec<SweepError>> {
-    try_sweep_all_with_workers_cached(workloads, workers, ExecTier::default(), None)
+    try_sweep_all_with_workers_cached(workloads, workers, None)
 }
 
-/// [`try_sweep_all_with_workers`] on a chosen execution tier through an
-/// optional shared [`PlanCache`]. Tier and cache are host-speed knobs:
-/// the sweeps are bit-identical for any combination (golden-gated). The
-/// cache pays off even within one sweep — each workload's five modes
-/// need only two artifacts — and across suites when the caller shares
-/// the handle.
+/// [`try_sweep_all_with_workers`] through an optional shared
+/// [`PlanCache`]. The cache is a host-speed knob: the sweeps are
+/// bit-identical with or without it (golden-gated). It pays off even
+/// within one sweep — each workload's five modes need only two
+/// artifacts — and across suites when the caller shares the handle.
 ///
 /// # Errors
 ///
@@ -65,14 +62,12 @@ pub fn try_sweep_all_with_workers(
 pub fn try_sweep_all_with_workers_cached(
     workloads: &[Workload],
     workers: usize,
-    tier: ExecTier,
     cache: Option<&PlanCache>,
 ) -> Result<Vec<ModeSweep>, Vec<SweepError>> {
     let slots = par_map(workloads, workers, |w| {
         std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let program = w.build_default();
-            ModeSweep::run_with_tier_cached(w.name, &program, tier, cache)
-                .map_err(|e| e.to_string())
+            ModeSweep::run_cached(w.name, &program, cache).map_err(|e| e.to_string())
         }))
         .unwrap_or_else(|panic| Err(panic_message(&panic)))
     });
@@ -126,17 +121,16 @@ pub fn sweep_all(workloads: &[Workload]) -> Vec<ModeSweep> {
     sweep_all_with_workers(workloads, default_workers())
 }
 
-/// [`sweep_all_with_workers`] on a chosen tier through an optional
-/// shared [`PlanCache`], panicking with *all* failures when any workload
-/// fails (the `tables` binary's behaviour).
+/// [`sweep_all_with_workers`] through an optional shared [`PlanCache`],
+/// panicking with *all* failures when any workload fails (the `tables`
+/// binary's behaviour).
 #[must_use]
 pub fn sweep_all_with_workers_cached(
     workloads: &[Workload],
     workers: usize,
-    tier: ExecTier,
     cache: Option<&PlanCache>,
 ) -> Vec<ModeSweep> {
-    match try_sweep_all_with_workers_cached(workloads, workers, tier, cache) {
+    match try_sweep_all_with_workers_cached(workloads, workers, cache) {
         Ok(sweeps) => sweeps,
         Err(errors) => {
             let lines: Vec<String> = errors.iter().map(ToString::to_string).collect();

@@ -5,7 +5,7 @@
 use ifp_compiler::Program;
 use ifp_mem::CacheConfig;
 use ifp_plancache::PlanCache;
-use ifp_vm::{run, AllocatorKind, ExecTier, Mode, RunStats, VmConfig, VmError};
+use ifp_vm::{run, AllocatorKind, Mode, RunStats, VmConfig, VmError};
 
 /// The L1 geometry used for workload sweeps: 4 KiB, 4-way. The paper runs
 /// megabyte working sets against CVA6's 32 KiB L1; the reproduction's
@@ -64,39 +64,23 @@ impl ModeSweep {
     ///
     /// Propagates the first failing run.
     pub fn run(name: &str, program: &Program) -> Result<ModeSweep, VmError> {
-        Self::run_with_tier(name, program, ExecTier::default())
+        Self::run_cached(name, program, None)
     }
 
-    /// [`ModeSweep::run`] on a chosen execution tier. Tier choice is
-    /// host-speed only — the sweep's statistics are bit-identical across
-    /// tiers (golden-gated), so derived tables never depend on it.
+    /// [`ModeSweep::run`] through a shared [`PlanCache`]. The five
+    /// configurations need only two compiled artifacts (baseline + one
+    /// instrumented — allocator and the promote ablation are not compile
+    /// inputs), so a cache collapses the sweep's per-mode compile work
+    /// even before cross-workload sharing kicks in. With `None` every
+    /// mode compiles fresh; statistics are bit-identical either way
+    /// (golden-gated).
     ///
     /// # Errors
     ///
     /// Propagates the first failing run.
-    pub fn run_with_tier(
+    pub fn run_cached(
         name: &str,
         program: &Program,
-        tier: ExecTier,
-    ) -> Result<ModeSweep, VmError> {
-        Self::run_with_tier_cached(name, program, tier, None)
-    }
-
-    /// [`ModeSweep::run_with_tier`] through a shared [`PlanCache`]. The
-    /// five configurations need only two compiled artifacts (baseline +
-    /// one instrumented — allocator and the promote ablation are not
-    /// compile inputs), so a cache collapses the sweep's per-mode
-    /// compile work even before cross-workload sharing kicks in. With
-    /// `None` every mode compiles fresh; statistics are bit-identical
-    /// either way (golden-gated).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first failing run.
-    pub fn run_with_tier_cached(
-        name: &str,
-        program: &Program,
-        tier: ExecTier,
         cache: Option<&PlanCache>,
     ) -> Result<ModeSweep, VmError> {
         let mut results = Vec::with_capacity(5);
@@ -104,7 +88,6 @@ impl ModeSweep {
         for mode in modes() {
             let mut cfg = VmConfig::with_mode(mode);
             cfg.l1 = sweep_l1();
-            cfg.exec_tier = tier;
             let r = match cache {
                 Some(c) => c.run(program, &cfg)?,
                 None => run(program, &cfg)?,
@@ -218,12 +201,8 @@ mod tests {
         let p = ifp_workloads::olden::treeadd::build(6);
         let cache = PlanCache::new();
         let cold = ModeSweep::run("treeadd", &p).unwrap();
-        let warm =
-            ModeSweep::run_with_tier_cached("treeadd", &p, ExecTier::default(), Some(&cache))
-                .unwrap();
-        let warm2 =
-            ModeSweep::run_with_tier_cached("treeadd", &p, ExecTier::default(), Some(&cache))
-                .unwrap();
+        let warm = ModeSweep::run_cached("treeadd", &p, Some(&cache)).unwrap();
+        let warm2 = ModeSweep::run_cached("treeadd", &p, Some(&cache)).unwrap();
         assert_eq!(format!("{cold:?}"), format!("{warm:?}"));
         assert_eq!(format!("{cold:?}"), format!("{warm2:?}"));
         // 5 modes, 2 artifacts: baseline + one shared instrumented.

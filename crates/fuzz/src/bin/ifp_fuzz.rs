@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! ifp-fuzz campaign [--seed S] [--iters N] [--workers W]
-//!                   [--corpus DIR] [--elide-checks] [--exec-tier jit]
+//!                   [--corpus DIR] [--elide-checks]
 //!                   [--plan-cache] [--interproc] [--fail-on-finding]
 //! ifp-fuzz replay FILE...
 //! ifp-fuzz shrink FILE [-o OUT]
@@ -25,7 +25,7 @@ ifp-fuzz: differential fuzzing of the In-Fat Pointer toolchain
 USAGE:
     ifp-fuzz campaign [--seed S] [--iters N] [--workers W]
                       [--corpus DIR] [--schedule uniform|coverage]
-                      [--elide-checks] [--exec-tier jit]
+                      [--elide-checks]
                       [--plan-cache] [--interproc] [--fail-on-finding]
     ifp-fuzz temporal [--seed S] [--iters N] [--workers W]
                       [--fail-on-finding]
@@ -45,20 +45,15 @@ CAMPAIGN OPTIONS:
     --elide-checks      rerun each instrumented mode with statically-
                         proven check elision; any verdict or output
                         change is an elision_divergence finding
-    --exec-tier jit     rerun each instrumented mode on the fused jit
-                        execution tier; any verdict, output, or modeled-
-                        statistic change is a tier_divergence finding
-                        (`--exec-tier interp` is the no-op default)
-    --plan-cache        rerun each instrumented mode (both execution
-                        tiers, twice each) through a deliberately
-                        capacity-poisoned compiled-artifact cache; any
+    --plan-cache        rerun each instrumented mode twice (cold, then
+                        warm) through a compiled-artifact cache; any
                         verdict, output, or modeled-statistic change is
                         a cache_divergence finding
     --interproc         rerun each instrumented mode with the inter-
-                        procedural summary-informed elision plan on both
-                        execution tiers, fresh and through an artifact
-                        cache; any verdict, output, or modeled-statistic
-                        change is an interproc_divergence finding
+                        procedural summary-informed elision plan, fresh
+                        and through an artifact cache; any verdict,
+                        output, or modeled-statistic change is an
+                        interproc_divergence finding
     --fail-on-finding   exit nonzero if any finding is produced
 
 TEMPORAL:
@@ -114,7 +109,6 @@ fn cmd_campaign(args: &[String]) -> ExitCode {
         corpus_dir: None,
         schedule: Schedule::Uniform,
         elide_checks: false,
-        tier_checks: false,
         plan_cache_checks: false,
         interproc_checks: false,
     };
@@ -152,17 +146,6 @@ fn cmd_campaign(args: &[String]) -> ExitCode {
                 config.elide_checks = true;
                 Ok(())
             }
-            "--exec-tier" => value("--exec-tier").and_then(|v| match v.as_str() {
-                "jit" => {
-                    config.tier_checks = true;
-                    Ok(())
-                }
-                "interp" => {
-                    config.tier_checks = false;
-                    Ok(())
-                }
-                other => Err(format!("bad exec tier `{other}` (interp|jit)")),
-            }),
             "--plan-cache" => {
                 config.plan_cache_checks = true;
                 Ok(())

@@ -80,21 +80,15 @@ pub struct CampaignConfig {
     /// instrumented mode reruns with `elide_checks` and any verdict or
     /// output change is an `elision_divergence` finding.
     pub elide_checks: bool,
-    /// Add the execution-tier differential legs to every oracle run:
-    /// each instrumented mode reruns on the jit tier and any verdict,
-    /// output, or modeled-statistic change is a `tier_divergence`
-    /// finding.
-    pub tier_checks: bool,
     /// Add the plan-cache differential legs to every oracle run: each
-    /// instrumented mode (interpreter and jit tiers) reruns twice
-    /// through a deliberately capacity-poisoned artifact cache and any
-    /// verdict, output, or modeled-statistic change is a
+    /// instrumented mode reruns through an artifact cache, cold then
+    /// warm, and any verdict, output, or modeled-statistic change is a
     /// `cache_divergence` finding.
     pub plan_cache_checks: bool,
     /// Add the combined inter-procedural differential legs to every
     /// oracle run: each instrumented mode reruns with the
-    /// summary-informed elision plan on both execution tiers, fresh and
-    /// through an artifact cache, and any verdict, output, or
+    /// summary-informed elision plan, fresh and through an artifact
+    /// cache, and any verdict, output, or
     /// modeled-statistic change is an `interproc_divergence` finding.
     pub interproc_checks: bool,
 }
@@ -108,7 +102,6 @@ impl Default for CampaignConfig {
             corpus_dir: None,
             schedule: Schedule::Uniform,
             elide_checks: false,
-            tier_checks: false,
             plan_cache_checks: false,
             interproc_checks: false,
         }
@@ -277,7 +270,6 @@ pub fn run_campaign(config: &CampaignConfig) -> CampaignReport {
     let next = AtomicU64::new(0);
     let opts = OracleOptions {
         elide_differential: config.elide_checks,
-        tier_differential: config.tier_checks,
         plan_cache_differential: config.plan_cache_checks,
         interproc_differential: config.interproc_checks,
     };
@@ -458,18 +450,13 @@ impl CampaignReport {
         if self.config.elide_checks {
             s.push_str("  elision     differential on (wrapped + subheap rerun elided)\n");
         }
-        if self.config.tier_checks {
-            s.push_str("  exec tier   differential on (wrapped + subheap rerun on jit)\n");
-        }
         if self.config.plan_cache_checks {
             s.push_str(
-                "  plan cache  differential on (both tiers rerun through a poisoned cache)\n",
+                "  plan cache  differential on (wrapped + subheap rerun cold/warm cached)\n",
             );
         }
         if self.config.interproc_checks {
-            s.push_str(
-                "  interproc   differential on (elided plan rerun on both tiers through a cache)\n",
-            );
+            s.push_str("  interproc   differential on (elided plan rerun fresh and cached)\n");
         }
         s.push_str(&format!(
             "  elapsed     {:.2}s ({:.0} iters/sec)\n",
@@ -550,7 +537,6 @@ mod tests {
             corpus_dir: None,
             schedule: Schedule::Uniform,
             elide_checks: false,
-            tier_checks: false,
             plan_cache_checks: false,
             interproc_checks: false,
         });
@@ -582,7 +568,6 @@ mod tests {
             corpus_dir: None,
             schedule: Schedule::Uniform,
             elide_checks: true,
-            tier_checks: false,
             plan_cache_checks: false,
             interproc_checks: false,
         });
@@ -599,31 +584,6 @@ mod tests {
     }
 
     #[test]
-    fn tier_differential_campaign_is_clean() {
-        let report = run_campaign(&CampaignConfig {
-            seed: 0x71e4,
-            iterations: 40,
-            workers: 2,
-            corpus_dir: None,
-            schedule: Schedule::Uniform,
-            elide_checks: false,
-            tier_checks: true,
-            plan_cache_checks: false,
-            interproc_checks: false,
-        });
-        assert!(
-            report.findings.is_empty(),
-            "{:#?}",
-            report
-                .findings
-                .iter()
-                .map(|f| (&f.spec, &f.disagreements))
-                .collect::<Vec<_>>()
-        );
-        assert!(report.render().contains("exec tier   differential on"));
-    }
-
-    #[test]
     fn plan_cache_differential_campaign_is_clean() {
         let report = run_campaign(&CampaignConfig {
             seed: 0xcac4e,
@@ -632,7 +592,6 @@ mod tests {
             corpus_dir: None,
             schedule: Schedule::Uniform,
             elide_checks: false,
-            tier_checks: false,
             plan_cache_checks: true,
             interproc_checks: false,
         });
@@ -657,7 +616,6 @@ mod tests {
             corpus_dir: None,
             schedule: Schedule::Uniform,
             elide_checks: false,
-            tier_checks: false,
             plan_cache_checks: false,
             interproc_checks: true,
         });
@@ -708,7 +666,6 @@ mod tests {
             corpus_dir: None,
             schedule: Schedule::CoverageGuided,
             elide_checks: false,
-            tier_checks: false,
             plan_cache_checks: false,
             interproc_checks: false,
         };

@@ -27,7 +27,7 @@ use ifp_baselines::{Asan, Defense, Mte, PtrMeta, SoftBound};
 use ifp_juliet::{CaseKind, Variant};
 use ifp_plancache::PlanCache;
 use ifp_trace::TraceConfig;
-use ifp_vm::{run, AllocatorKind, ExecTier, Mode, RunResult, VmConfig, VmError};
+use ifp_vm::{run, AllocatorKind, Mode, RunResult, VmConfig, VmError};
 use std::fmt;
 
 /// Address the defense models place the object at (granule-aligned for
@@ -100,17 +100,14 @@ pub enum FindingClass {
     /// Rerunning an instrumented mode with statically-proven check
     /// elision changed the verdict or the output.
     ElisionDivergence,
-    /// Rerunning an instrumented mode on the jit execution tier changed
-    /// the verdict, the output, or any modeled statistic.
-    TierDivergence,
-    /// Rerunning a mode through a capacity-poisoned artifact cache
-    /// (evict/recompile churn) changed the verdict, the output, or any
-    /// modeled statistic.
+    /// Rerunning a mode through an artifact cache (cold insert, then
+    /// warm hit) changed the verdict, the output, or any modeled
+    /// statistic.
     CacheDivergence,
     /// The combined inter-procedural leg — check elision under the
-    /// summary-informed plan, executed on both tiers through the
-    /// artifact cache — changed the verdict, the output, or diverged
-    /// across tiers or cache paths on any modeled statistic.
+    /// summary-informed plan, compiled fresh and through the artifact
+    /// cache — changed the verdict, the output, or diverged across
+    /// cache paths on any modeled statistic.
     InterprocDivergence,
     /// The harness itself panicked while evaluating the case.
     HarnessPanic,
@@ -130,7 +127,6 @@ impl FindingClass {
             FindingClass::DefenseDisagree => "defense_disagree",
             FindingClass::MalformedIr => "malformed_ir",
             FindingClass::ElisionDivergence => "elision_divergence",
-            FindingClass::TierDivergence => "tier_divergence",
             FindingClass::CacheDivergence => "cache_divergence",
             FindingClass::InterprocDivergence => "interproc_divergence",
             FindingClass::HarnessPanic => "harness_panic",
@@ -150,7 +146,6 @@ impl FindingClass {
             FindingClass::DefenseDisagree,
             FindingClass::MalformedIr,
             FindingClass::ElisionDivergence,
-            FindingClass::TierDivergence,
             FindingClass::CacheDivergence,
             FindingClass::InterprocDivergence,
             FindingClass::HarnessPanic,
@@ -258,7 +253,7 @@ fn run_config_digest(program: &ifp_compiler::Program, cfg: &VmConfig) -> (RunOut
 
 /// Like [`run_config_digest`], but routes compilation through an
 /// artifact cache. Execution semantics must be unaffected by whether
-/// the compiled artifact was a hit, a miss, or an eviction casualty.
+/// the compiled artifact was a hit or a miss.
 fn run_config_digest_cached(
     program: &ifp_compiler::Program,
     cfg: &VmConfig,
@@ -510,21 +505,16 @@ pub struct OracleOptions {
     /// elision and require byte-identical verdicts and output — the
     /// safety gate for `ifp-analyze`'s elision plan.
     pub elide_differential: bool,
-    /// Rerun the wrapped and subheap modes on the jit execution tier and
-    /// require byte-identical verdicts, output, and complete modeled
-    /// statistics — the safety gate for `ifp-jit`'s fused executor.
-    pub tier_differential: bool,
-    /// Rerun the wrapped and subheap modes (interpreter and jit tiers)
-    /// through a deliberately capacity-poisoned artifact cache — so
-    /// nearly every lookup churns through insert/evict/recompile — and
-    /// require byte-identical verdicts, output, and complete modeled
-    /// statistics. The safety gate for `ifp-plancache`.
+    /// Rerun the wrapped and subheap modes through an artifact cache,
+    /// cold (insert) then warm (hit), and require byte-identical
+    /// verdicts, output, and complete modeled statistics. The safety
+    /// gate for `ifp-plancache`.
     pub plan_cache_differential: bool,
     /// Rerun the wrapped and subheap modes with summary-informed check
-    /// elision on *both* execution tiers, fresh and through an artifact
-    /// cache, and require the unelided verdict plus bit-identical
-    /// modeled statistics across tiers and cache paths — the combined
-    /// safety gate for the `ifp-analyze` inter-procedural plan.
+    /// elision, fresh and through an artifact cache, and require the
+    /// unelided verdict plus bit-identical modeled statistics across
+    /// cache paths — the combined safety gate for the `ifp-analyze`
+    /// inter-procedural plan.
     pub interproc_differential: bool,
 }
 
@@ -689,11 +679,12 @@ pub fn evaluate_with(spec: &CaseSpec, opts: OracleOptions) -> Evaluation {
         }
     }
 
-    // Tier differential: the fused jit executor must reproduce the
-    // interpreter's verdict, output, and *every* modeled statistic.
-    // Both tiers rerun here so the stats digests come from the same
-    // configs (the verdict is additionally pinned to the reference run).
-    if opts.tier_differential {
+    // Plan-cache differential: running through an artifact cache must
+    // reproduce the fresh-compile verdict, output, and every modeled
+    // statistic. Each config runs through the cache twice so both the
+    // cold-insert path and the warm-hit path are exercised.
+    if opts.plan_cache_differential {
+        let cache = PlanCache::new();
         for (label, mode, reference) in [
             (
                 "wrapped",
@@ -706,67 +697,11 @@ pub fn evaluate_with(spec: &CaseSpec, opts: OracleOptions) -> Evaluation {
                 &subheap,
             ),
         ] {
-            let mut icfg = VmConfig::with_mode(mode);
-            icfg.fuel = FUEL;
-            let mut jcfg = icfg;
-            jcfg.exec_tier = ExecTier::Jit;
-            let (iout, idig, ii) = run_config_digest(&program, &icfg);
-            let (jout, jdig, ji) = run_config_digest(&program, &jcfg);
-            modeled_instrs += ii + ji;
-            if jout != iout || jout != *reference {
-                push(
-                    &mut out,
-                    FindingClass::TierDivergence,
-                    format!(
-                        "{label}: {} on the interpreter, {} on the jit tier",
-                        iout.label(),
-                        jout.label()
-                    ),
-                );
-            } else if jdig != idig {
-                push(
-                    &mut out,
-                    FindingClass::TierDivergence,
-                    format!("{label}: modeled statistics differ across tiers"),
-                );
-            }
-        }
-    }
-
-    // Plan-cache differential: running through a capacity-poisoned
-    // artifact cache (evict/recompile churn on nearly every lookup)
-    // must reproduce the fresh-compile verdict, output, and every
-    // modeled statistic — on both execution tiers. Each config runs
-    // through the cache twice so both the cold-insert path and the
-    // reuse-or-evicted path are exercised.
-    if opts.plan_cache_differential {
-        let cache = PlanCache::poisoned();
-        for (label, mode, tier, reference) in [
-            (
-                "wrapped",
-                Mode::instrumented(AllocatorKind::Wrapped),
-                ExecTier::Interp,
-                &wrapped,
-            ),
-            (
-                "subheap",
-                Mode::instrumented(AllocatorKind::Subheap),
-                ExecTier::Interp,
-                &subheap,
-            ),
-            (
-                "subheap-jit",
-                Mode::instrumented(AllocatorKind::Subheap),
-                ExecTier::Jit,
-                &subheap,
-            ),
-        ] {
             let mut cfg = VmConfig::with_mode(mode);
             cfg.fuel = FUEL;
-            cfg.exec_tier = tier;
             let (fout, fdig, fi) = run_config_digest(&program, &cfg);
             modeled_instrs += fi;
-            for pass in ["cold", "reuse"] {
+            for pass in ["cold", "warm"] {
                 let (cout, cdig, ci) = run_config_digest_cached(&program, &cfg, &cache);
                 modeled_instrs += ci;
                 if cout != fout || &cout != reference {
@@ -774,7 +709,7 @@ pub fn evaluate_with(spec: &CaseSpec, opts: OracleOptions) -> Evaluation {
                         &mut out,
                         FindingClass::CacheDivergence,
                         format!(
-                            "{label}: {} fresh, {} through the poisoned cache ({pass} pass)",
+                            "{label}: {} fresh, {} through the cache ({pass} pass)",
                             fout.label(),
                             cout.label()
                         ),
@@ -784,8 +719,7 @@ pub fn evaluate_with(spec: &CaseSpec, opts: OracleOptions) -> Evaluation {
                         &mut out,
                         FindingClass::CacheDivergence,
                         format!(
-                            "{label}: modeled statistics differ through the poisoned cache \
-                             ({pass} pass)"
+                            "{label}: modeled statistics differ through the cache ({pass} pass)"
                         ),
                     );
                 }
@@ -794,9 +728,9 @@ pub fn evaluate_with(spec: &CaseSpec, opts: OracleOptions) -> Evaluation {
     }
 
     // Inter-procedural differential: the richest elided configuration —
-    // the summary-informed plan driving check elision, on both execution
-    // tiers, compiled fresh and through an artifact cache — must keep
-    // the unelided verdict and stay bit-identical across every axis.
+    // the summary-informed plan driving check elision, compiled fresh
+    // and through an artifact cache — must keep the unelided verdict and
+    // stay bit-identical across cache paths.
     if opts.interproc_differential {
         let cache = PlanCache::new();
         for (label, mode, reference) in [
@@ -811,45 +745,30 @@ pub fn evaluate_with(spec: &CaseSpec, opts: OracleOptions) -> Evaluation {
                 &subheap,
             ),
         ] {
-            let mut icfg = VmConfig::with_mode(mode);
-            icfg.fuel = FUEL;
-            icfg.elide_checks = true;
-            let mut jcfg = icfg;
-            jcfg.exec_tier = ExecTier::Jit;
-            let (iout, idig, ii) = run_config_digest(&program, &icfg);
-            let (jout, jdig, ji) = run_config_digest(&program, &jcfg);
-            modeled_instrs += ii + ji;
-            if iout != *reference {
+            let mut cfg = VmConfig::with_mode(mode);
+            cfg.fuel = FUEL;
+            cfg.elide_checks = true;
+            let (fout, fdig, fi) = run_config_digest(&program, &cfg);
+            modeled_instrs += fi;
+            if fout != *reference {
                 push(
                     &mut out,
                     FindingClass::InterprocDivergence,
                     format!(
                         "{label}: {} without elision, {} with the interprocedural plan",
                         reference.label(),
-                        iout.label()
+                        fout.label()
                     ),
                 );
             }
-            if jout != iout || jdig != idig {
+            let (cout, cdig, ci) = run_config_digest_cached(&program, &cfg, &cache);
+            modeled_instrs += ci;
+            if cout != fout || cdig != fdig {
                 push(
                     &mut out,
                     FindingClass::InterprocDivergence,
-                    format!("{label}: elided tiers disagree (interp vs jit)"),
+                    format!("{label}: cached elided run diverged from fresh"),
                 );
-            }
-            for (tier_label, cfg, fout, fdig) in [
-                ("interp", &icfg, &iout, &idig),
-                ("jit", &jcfg, &jout, &jdig),
-            ] {
-                let (cout, cdig, ci) = run_config_digest_cached(&program, cfg, &cache);
-                modeled_instrs += ci;
-                if &cout != fout || &cdig != fdig {
-                    push(
-                        &mut out,
-                        FindingClass::InterprocDivergence,
-                        format!("{label}/{tier_label}: cached elided run diverged from fresh"),
-                    );
-                }
             }
         }
     }
@@ -943,19 +862,6 @@ mod tests {
     }
 
     #[test]
-    fn tier_differential_is_clean_on_random_specs() {
-        let opts = OracleOptions {
-            tier_differential: true,
-            ..OracleOptions::default()
-        };
-        for i in 0..25 {
-            let s = CaseSpec::generate(&mut Rng::stream(0x71e4, i));
-            let e = evaluate_with(&s, opts);
-            assert!(e.disagreements.is_empty(), "{s:?}\n{:?}", e.disagreements);
-        }
-    }
-
-    #[test]
     fn plan_cache_differential_is_clean_on_random_specs() {
         let opts = OracleOptions {
             plan_cache_differential: true,
@@ -993,7 +899,6 @@ mod tests {
             FindingClass::DefenseDisagree,
             FindingClass::MalformedIr,
             FindingClass::ElisionDivergence,
-            FindingClass::TierDivergence,
             FindingClass::CacheDivergence,
             FindingClass::InterprocDivergence,
             FindingClass::HarnessPanic,

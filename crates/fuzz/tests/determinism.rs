@@ -16,7 +16,6 @@ fn config(workers: usize, corpus_dir: Option<std::path::PathBuf>) -> CampaignCon
         corpus_dir,
         schedule: Schedule::Uniform,
         elide_checks: false,
-        tier_checks: false,
         plan_cache_checks: false,
         interproc_checks: false,
     }

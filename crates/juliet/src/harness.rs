@@ -5,7 +5,7 @@
 use crate::gen::{CaseKind, JulietCase};
 use ifp_plancache::PlanCache;
 use ifp_trace::{ForensicReport, TraceConfig};
-use ifp_vm::{run, ExecTier, Mode, VmConfig, VmError};
+use ifp_vm::{run, Mode, VmConfig, VmError};
 use std::fmt;
 
 /// What happened when a case ran.
@@ -30,20 +30,14 @@ pub fn run_case(case: &JulietCase, mode: Mode) -> CaseOutcome {
     run_case_traced(case, mode, TraceConfig::off()).0
 }
 
-/// [`run_case`] on a chosen execution tier through an optional shared
-/// [`PlanCache`]. A suite replays each case program under several modes
-/// (and benchmark reps), so the cache collapses the repeated
-/// validate/analyze/decode/fuse work to at most two artifacts per case
-/// per tier; outcomes are bit-identical with or without it
-/// (golden-gated).
+/// [`run_case`] through an optional shared [`PlanCache`]. A suite
+/// replays each case program under several modes (and benchmark reps),
+/// so the cache collapses the repeated validate/analyze/decode work to
+/// at most two artifacts per case; outcomes are bit-identical with or
+/// without it (golden-gated).
 #[must_use]
-pub fn run_case_cached(
-    case: &JulietCase,
-    mode: Mode,
-    tier: ExecTier,
-    cache: Option<&PlanCache>,
-) -> CaseOutcome {
-    run_case_inner(case, mode, TraceConfig::off(), tier, cache).0
+pub fn run_case_cached(case: &JulietCase, mode: Mode, cache: Option<&PlanCache>) -> CaseOutcome {
+    run_case_inner(case, mode, TraceConfig::off(), cache).0
 }
 
 /// [`run_case`] with event tracing: when `trace` enables any category and
@@ -54,20 +48,18 @@ pub fn run_case_traced(
     mode: Mode,
     trace: TraceConfig,
 ) -> (CaseOutcome, Option<Box<ForensicReport>>) {
-    run_case_inner(case, mode, trace, ExecTier::default(), None)
+    run_case_inner(case, mode, trace, None)
 }
 
 fn run_case_inner(
     case: &JulietCase,
     mode: Mode,
     trace: TraceConfig,
-    tier: ExecTier,
     cache: Option<&PlanCache>,
 ) -> (CaseOutcome, Option<Box<ForensicReport>>) {
     let mut cfg = VmConfig::with_mode(mode);
     cfg.fuel = 50_000_000;
     cfg.trace = trace;
-    cfg.exec_tier = tier;
     let result = match cache {
         Some(c) => c.run(&case.program, &cfg),
         None => run(&case.program, &cfg),
@@ -153,24 +145,21 @@ impl fmt::Display for SuiteResult {
 /// so the result is identical for any worker count.
 #[must_use]
 pub fn run_suite_with_workers(cases: &[JulietCase], mode: Mode, workers: usize) -> SuiteResult {
-    run_suite_with_workers_cached(cases, mode, workers, ExecTier::default(), None)
+    run_suite_with_workers_cached(cases, mode, workers, None)
 }
 
-/// [`run_suite_with_workers`] on a chosen execution tier through an
-/// optional shared [`PlanCache`]. The cache is shared across workers
-/// (it is `Sync`); results stay identical for any worker count and any
-/// cache state — only host wall-clock changes.
+/// [`run_suite_with_workers`] through an optional shared [`PlanCache`].
+/// The cache is shared across workers (it is `Sync`); results stay
+/// identical for any worker count and any cache state — only host
+/// wall-clock changes.
 #[must_use]
 pub fn run_suite_with_workers_cached(
     cases: &[JulietCase],
     mode: Mode,
     workers: usize,
-    tier: ExecTier,
     cache: Option<&PlanCache>,
 ) -> SuiteResult {
-    let outcomes = ifp_testutil::par_map(cases, workers, |case| {
-        run_case_cached(case, mode, tier, cache)
-    });
+    let outcomes = ifp_testutil::par_map(cases, workers, |case| run_case_cached(case, mode, cache));
     let mut out = SuiteResult::default();
     for (case, outcome) in cases.iter().zip(outcomes) {
         match (case.kind, outcome) {
@@ -231,19 +220,16 @@ mod tests {
     }
 
     #[test]
-    fn cached_suite_matches_fresh_on_both_tiers() {
+    fn cached_suite_matches_fresh() {
         // Warm-cache replay must be outcome-identical to fresh compiles,
-        // across tiers and worker counts (SuiteResult derives Eq).
+        // across worker counts (SuiteResult derives Eq).
         let cases: Vec<_> = all_cases().into_iter().take(24).collect();
         let mode = Mode::instrumented(AllocatorKind::Subheap);
         let fresh = run_suite(&cases, mode);
         let cache = PlanCache::new();
-        for tier in [ExecTier::Interp, ExecTier::Jit] {
-            for workers in [1, 4] {
-                let cached =
-                    run_suite_with_workers_cached(&cases, mode, workers, tier, Some(&cache));
-                assert_eq!(fresh, cached, "{tier:?} diverged at {workers} workers");
-            }
+        for workers in [1, 4] {
+            let cached = run_suite_with_workers_cached(&cases, mode, workers, Some(&cache));
+            assert_eq!(fresh, cached, "diverged at {workers} workers");
         }
         let s = cache.stats();
         assert!(s.hits > 0, "warm replay must hit: {s:?}");

@@ -1,74 +1,53 @@
 //! Content-addressed compiled-artifact cache.
 //!
 //! Every run of a [`Program`] pays a host-side compile pipeline before
-//! the first step: validate, instrumentation/elision analysis,
-//! pre-decode, and (jit tier) superinstruction fusion. Services, suite
-//! runners, and sweeps execute the *same* programs thousands to
-//! millions of times, so this crate hoists that pipeline into a
-//! one-time [`CompiledArtifact`] per distinct program — the same move
-//! the paper's hardware makes by metadata hoisting, applied to the
-//! simulator's own host costs.
+//! the first step: validate, instrumentation/elision analysis, and
+//! pre-decode. Services, suite runners, and sweeps execute the *same*
+//! programs thousands to millions of times, so this crate hoists that
+//! pipeline into a one-time [`CompiledArtifact`] per distinct program —
+//! the same move the paper's hardware makes by metadata hoisting,
+//! applied to the simulator's own host costs.
 //!
 //! **Keying.** An artifact is addressed by *content*, not identity:
 //! `(program fingerprint, analysis fingerprint, instrumented?,
-//! elide_checks?, exec tier)`.
+//! elide_checks?)`.
 //! The fingerprint is FNV-1a over the program's deterministic rendering
 //! ([`program_fingerprint`]), so structurally identical programs built
-//! independently share one artifact. The other three key components are
+//! independently share one artifact. The other key components are
 //! exactly the compile *inputs* of [`compile_artifact`]; allocator
 //! kind, the no-promote ablation, temporal policy, cache geometry, and
-//! fuel do not participate in decode/analyze/fuse, so they are
-//! deliberately **not** part of the key — one artifact serves every
-//! such variation, which is what lets a 5-mode sweep compile twice
-//! instead of five times. A stale hit is impossible by construction:
-//! anything that could change the compiled streams is either hashed
-//! (the program) or in the key (the compile flags).
+//! fuel do not participate in decode/analyze, so they are deliberately
+//! **not** part of the key — one artifact serves every such variation,
+//! which is what lets a 5-mode sweep compile twice instead of five
+//! times. A stale hit is impossible by construction: anything that
+//! could change the compiled streams is either hashed (the program) or
+//! in the key (the compile flags).
 //!
-//! **Concurrency.** The map is striped over fixed mutex shards selected
-//! by fingerprint bits (the `ShardedFreeList` idiom from `ifp-alloc`),
-//! so `par_map` workers sharing one cache hit without contending on a
-//! global lock. Compilation happens *outside* the shard lock; two
-//! threads racing on the same cold key may both compile, and the first
-//! insert wins — artifacts for the same key are interchangeable, so
-//! this is a throughput trade, not a correctness one.
+//! **Concurrency.** One mutex guards one map. Compilation happens
+//! *outside* the lock; two threads racing on the same cold key may both
+//! compile, and the first insert wins — artifacts for the same key are
+//! interchangeable, so this is a throughput trade, not a correctness
+//! one. Nothing is ever evicted: the repo's largest suites keep a few
+//! hundred artifacts resident.
 //!
-//! **Eviction.** Each shard carries a byte budget (approximate artifact
-//! footprints) and evicts least-recently-used entries when inserting
-//! over budget. [`PlanCache::poisoned`] builds a deliberately tiny,
-//! eviction-heavy cache used by the fuzz `cache_divergence` leg to
-//! hammer the evict/recompile path.
-//!
-//! **Telemetry.** [`CacheStats`] (hits/misses/evictions/bytes/compile
-//! time) lives entirely outside [`ifp_vm::RunStats`], like
-//! `FusionStats`: golden-pinned modeled output cannot depend on cache
-//! behaviour by construction. Hit/miss counts are host telemetry and
-//! may vary run-to-run under racing threads; nothing deterministic may
-//! be derived from them.
+//! **Telemetry.** [`CacheStats`] (hits/misses/residency/compile time)
+//! lives entirely outside [`ifp_vm::RunStats`]: golden-pinned modeled
+//! output cannot depend on cache behaviour by construction. Hit/miss
+//! counts are host telemetry and may vary run-to-run under racing
+//! threads; nothing deterministic may be derived from them.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use ifp_compiler::Program;
 use ifp_vm::{
-    compile_artifact, program_fingerprint, CompiledArtifact, ExecTier, RunResult, VmConfig,
-    VmError, VmHost,
+    compile_artifact, program_fingerprint, CompiledArtifact, RunResult, Vm, VmConfig, VmError,
+    VmHost,
 };
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-
-/// Default total byte budget (256 MiB): far above any suite in the
-/// repo, so eviction only matters when deliberately provoked.
-pub const DEFAULT_BUDGET: usize = 256 << 20;
-
-/// Byte budget of a [`PlanCache::poisoned`] cache: small enough that a
-/// handful of real artifacts thrash, exercising eviction + recompile on
-/// nearly every lookup.
-pub const POISONED_BUDGET: usize = 32 << 10;
-
-/// Fixed stripe count (power of two; selected by fingerprint low bits).
-const SHARDS: usize = 16;
 
 /// The full cache key. `fingerprint` addresses program content; the
 /// rest are the compile inputs of [`compile_artifact`] — nothing else
@@ -83,7 +62,6 @@ struct Key {
     analysis: u64,
     instrumented: bool,
     elide_checks: bool,
-    tier: ExecTier,
 }
 
 impl Key {
@@ -96,21 +74,8 @@ impl Key {
             // Elision is a plan input only when a plan exists; normalize
             // so uninstrumented lookups with the flag set still share.
             elide_checks: instrumented && config.elide_checks,
-            tier: config.exec_tier,
         }
     }
-}
-
-struct Entry {
-    artifact: Arc<CompiledArtifact>,
-    bytes: usize,
-    last_used: u64,
-}
-
-#[derive(Default)]
-struct Shard {
-    map: HashMap<Key, Entry>,
-    bytes: usize,
 }
 
 /// Cache telemetry counters. Host-side only — see the crate docs for
@@ -121,10 +86,6 @@ pub struct CacheStats {
     pub hits: u64,
     /// Lookups that compiled a fresh artifact.
     pub misses: u64,
-    /// Artifacts evicted by the byte budget.
-    pub evictions: u64,
-    /// Approximate bytes currently resident.
-    pub resident_bytes: u64,
     /// Artifacts currently resident.
     pub resident_artifacts: u64,
     /// Total host nanoseconds spent compiling on misses.
@@ -147,56 +108,29 @@ impl CacheStats {
 /// The thread-shareable artifact cache. Construct once (usually inside
 /// an [`Arc`]), hand clones of the handle to every worker that runs
 /// repeated programs.
+#[derive(Default)]
 pub struct PlanCache {
-    shards: Vec<Mutex<Shard>>,
-    shard_budget: usize,
-    tick: AtomicU64,
+    map: Mutex<HashMap<Key, Arc<CompiledArtifact>>>,
     hits: AtomicU64,
     misses: AtomicU64,
-    evictions: AtomicU64,
     compile_ns: AtomicU64,
 }
 
 impl PlanCache {
-    /// A cache with the [`DEFAULT_BUDGET`].
+    /// An empty cache.
     #[must_use]
     pub fn new() -> PlanCache {
-        PlanCache::with_budget(DEFAULT_BUDGET)
+        PlanCache::default()
     }
 
-    /// A cache with a total byte budget of `bytes`, split evenly across
-    /// the stripes.
-    #[must_use]
-    pub fn with_budget(bytes: usize) -> PlanCache {
-        PlanCache {
-            shards: (0..SHARDS).map(|_| Mutex::new(Shard::default())).collect(),
-            shard_budget: (bytes / SHARDS).max(1),
-            tick: AtomicU64::new(0),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            compile_ns: AtomicU64::new(0),
-        }
-    }
-
-    /// A shared cache handle with the default budget.
+    /// A shared handle on an empty cache.
     #[must_use]
     pub fn shared() -> Arc<PlanCache> {
         Arc::new(PlanCache::new())
     }
 
-    /// A deliberately capacity-poisoned cache ([`POISONED_BUDGET`]):
-    /// real artifacts evict each other almost immediately, so lookups
-    /// keep flipping between hit, evict, and recompile. The fuzz
-    /// `cache_divergence` leg runs through one of these to prove the
-    /// whole lifecycle is invisible to modeled output.
-    #[must_use]
-    pub fn poisoned() -> PlanCache {
-        PlanCache::with_budget(POISONED_BUDGET)
-    }
-
     /// The artifact for `program` under `config`: a shared handle on a
-    /// hit, a fresh compile (inserted, possibly evicting) on a miss.
+    /// hit, a fresh compile (inserted) on a miss.
     ///
     /// # Errors
     ///
@@ -207,59 +141,25 @@ impl PlanCache {
         program: &Program,
         config: &VmConfig,
     ) -> Result<Arc<CompiledArtifact>, VmError> {
-        let fp = program_fingerprint(program);
-        let key = Key::of(fp, config);
-        let si = (fp as usize) & (SHARDS - 1);
-        {
-            let mut shard = self.shards[si].lock().expect("plan-cache stripe poisoned");
-            if let Some(e) = shard.map.get_mut(&key) {
-                e.last_used = self.tick.fetch_add(1, Ordering::Relaxed);
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                return Ok(Arc::clone(&e.artifact));
-            }
+        let key = Key::of(program_fingerprint(program), config);
+        if let Some(a) = self.lock().get(&key) {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            return Ok(Arc::clone(a));
         }
 
-        // Compile outside the stripe lock so a cold miss never blocks
-        // sibling workers hitting the same stripe.
+        // Compile outside the lock so a cold miss never blocks sibling
+        // workers hitting other keys.
         let artifact = Arc::new(compile_artifact(program, config)?);
         self.misses.fetch_add(1, Ordering::Relaxed);
         self.compile_ns
             .fetch_add(artifact.compile_ns, Ordering::Relaxed);
-        let bytes = artifact.approx_bytes();
-        let tick = self.tick.fetch_add(1, Ordering::Relaxed);
+        // A sibling may have compiled the same key meanwhile: the first
+        // insert wins (artifacts are interchangeable by construction).
+        Ok(Arc::clone(self.lock().entry(key).or_insert(artifact)))
+    }
 
-        let mut shard = self.shards[si].lock().expect("plan-cache stripe poisoned");
-        if let Some(e) = shard.map.get_mut(&key) {
-            // A sibling compiled the same key while we did: keep the
-            // incumbent (interchangeable by construction).
-            e.last_used = tick;
-            return Ok(Arc::clone(&e.artifact));
-        }
-        shard.map.insert(
-            key,
-            Entry {
-                artifact: Arc::clone(&artifact),
-                bytes,
-                last_used: tick,
-            },
-        );
-        shard.bytes += bytes;
-        // LRU eviction down to budget; the entry just inserted is
-        // exempt so a single oversized artifact still caches.
-        while shard.bytes > self.shard_budget && shard.map.len() > 1 {
-            let victim = shard
-                .map
-                .iter()
-                .filter(|(k, _)| **k != key)
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| *k);
-            let Some(vk) = victim else { break };
-            if let Some(e) = shard.map.remove(&vk) {
-                shard.bytes -= e.bytes;
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        Ok(artifact)
+    fn lock(&self) -> std::sync::MutexGuard<'_, HashMap<Key, Arc<CompiledArtifact>>> {
+        self.map.lock().expect("plan-cache lock poisoned")
     }
 
     /// [`ifp_vm::run`] through the cache: identical results, amortized
@@ -270,7 +170,7 @@ impl PlanCache {
     /// See [`VmError`].
     pub fn run(&self, program: &Program, config: &VmConfig) -> Result<RunResult, VmError> {
         let artifact = self.artifact(program, config)?;
-        ifp_vm::run_with_artifact(program, config, &artifact)
+        Vm::with_artifact(program, config, &artifact, VmHost::with_l1(config.l1)).run()
     }
 
     /// [`ifp_vm::run_pooled`] through the cache: same signature and
@@ -285,46 +185,22 @@ impl PlanCache {
         match self.artifact(program, config) {
             Ok(artifact) => {
                 let (result, host) =
-                    ifp_vm::run_pooled_with_artifact(program, config, &artifact, host);
+                    Vm::with_artifact(program, config, &artifact, host).run_pooled();
                 (result, Some(host))
             }
             Err(e) => (Err(e), None),
         }
     }
 
-    /// Current counters (resident figures take each stripe lock).
+    /// Current counters.
     #[must_use]
     pub fn stats(&self) -> CacheStats {
-        let mut resident_bytes = 0u64;
-        let mut resident_artifacts = 0u64;
-        for s in &self.shards {
-            let s = s.lock().expect("plan-cache stripe poisoned");
-            resident_bytes += s.bytes as u64;
-            resident_artifacts += s.map.len() as u64;
-        }
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            resident_bytes,
-            resident_artifacts,
+            resident_artifacts: self.lock().len() as u64,
             compile_ns: self.compile_ns.load(Ordering::Relaxed),
         }
-    }
-
-    /// Drops every resident artifact (counters keep accumulating).
-    pub fn clear(&self) {
-        for s in &self.shards {
-            let mut s = s.lock().expect("plan-cache stripe poisoned");
-            s.map.clear();
-            s.bytes = 0;
-        }
-    }
-}
-
-impl Default for PlanCache {
-    fn default() -> Self {
-        PlanCache::new()
     }
 }
 
@@ -385,7 +261,7 @@ mod tests {
         let s = cache.stats();
         assert_eq!((s.misses, s.hits), (1, 3));
 
-        // Baseline, elided, and jit-tier lookups each get their own.
+        // Baseline and elided lookups each get their own.
         let b = cache
             .artifact(&program, &VmConfig::default())
             .expect("compiles");
@@ -394,11 +270,7 @@ mod tests {
         ecfg.elide_checks = true;
         let e = cache.artifact(&program, &ecfg).expect("compiles");
         assert!(!Arc::ptr_eq(&arts[0], &e));
-        let mut jcfg = VmConfig::with_mode(modes[0]);
-        jcfg.exec_tier = ExecTier::Jit;
-        let j = cache.artifact(&program, &jcfg).expect("compiles");
-        assert!(!Arc::ptr_eq(&arts[0], &j));
-        assert_eq!(cache.stats().resident_artifacts, 4);
+        assert_eq!(cache.stats().resident_artifacts, 3);
     }
 
     #[test]
@@ -415,40 +287,18 @@ mod tests {
     }
 
     #[test]
-    fn cached_runs_are_byte_identical_to_fresh_on_both_tiers() {
+    fn cached_runs_are_byte_identical_to_fresh() {
         let cache = PlanCache::new();
         for wname in ["treeadd", "anagram"] {
             let w = ifp_workloads::by_name(wname).expect("workload");
             let program = w.build_default();
-            for tier in [ExecTier::Interp, ExecTier::Jit] {
-                let mut cfg = VmConfig::with_mode(Mode::instrumented(AllocatorKind::Subheap));
-                cfg.exec_tier = tier;
-                let fresh = digest(&run(&program, &cfg));
-                // Twice through the cache: miss path, then hit path.
-                assert_eq!(fresh, digest(&cache.run(&program, &cfg)), "{wname} cold");
-                assert_eq!(fresh, digest(&cache.run(&program, &cfg)), "{wname} warm");
-            }
+            let cfg = VmConfig::with_mode(Mode::instrumented(AllocatorKind::Subheap));
+            let fresh = digest(&run(&program, &cfg));
+            // Twice through the cache: miss path, then hit path.
+            assert_eq!(fresh, digest(&cache.run(&program, &cfg)), "{wname} cold");
+            assert_eq!(fresh, digest(&cache.run(&program, &cfg)), "{wname} warm");
         }
-        assert!(cache.stats().hits >= 4);
-    }
-
-    #[test]
-    fn poisoned_cache_thrashes_but_stays_invisible() {
-        let cache = PlanCache::poisoned();
-        let cfg = VmConfig::with_mode(Mode::instrumented(AllocatorKind::Wrapped));
-        let mut checked = 0;
-        for _ in 0..2 {
-            for w in ifp_workloads::all().iter().take(4) {
-                let program = w.build_default();
-                let fresh = digest(&run(&program, &cfg));
-                assert_eq!(fresh, digest(&cache.run(&program, &cfg)), "{}", w.name);
-                checked += 1;
-            }
-        }
-        assert_eq!(checked, 8);
-        let s = cache.stats();
-        assert!(s.evictions > 0, "poisoned budget must thrash: {s:?}");
-        assert!(s.resident_bytes <= (POISONED_BUDGET * 2) as u64);
+        assert_eq!((cache.stats().misses, cache.stats().hits), (2, 2));
     }
 
     #[test]
@@ -485,9 +335,7 @@ mod tests {
             .collect();
         let run_all = |workers: usize| -> Vec<String> {
             ifp_testutil::par_map(&inputs, workers, |(wi, mode)| {
-                let mut cfg = VmConfig::with_mode(*mode);
-                cfg.exec_tier = ExecTier::Jit;
-                digest(&cache.run(&programs[*wi], &cfg))
+                digest(&cache.run(&programs[*wi], &VmConfig::with_mode(*mode)))
             })
         };
         assert_eq!(run_all(1), run_all(4));

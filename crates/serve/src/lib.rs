@@ -85,14 +85,10 @@ pub struct ServeConfig {
     /// Per shard, how many trapped traced requests contribute a JSONL
     /// trace snapshot to the sink.
     pub trace_jsonl_per_shard: usize,
-    /// Execution tier the shard VMs run on. A host-speed knob like
-    /// [`ServeConfig::workers`]: the report is byte-identical across
-    /// tiers at equal config (gated by the determinism suite).
-    pub exec_tier: ifp_vm::ExecTier,
     /// Shared compiled-artifact cache. Every shard replays programs from
     /// the same fixed [`ProgramSet`], so a shared cache collapses the
-    /// per-request validate/analyze/decode/fuse work to one compile per
-    /// (program, instrumentation, tier) across the whole service. A
+    /// per-request validate/analyze/decode work to one compile per
+    /// (program, instrumentation) across the whole service. A
     /// host-speed knob like `workers`: the report is byte-identical with
     /// or without it (gated by the determinism suite). `None` compiles
     /// fresh per request.
@@ -112,7 +108,6 @@ impl Default for ServeConfig {
             juliet_share: 70,
             forensic_cap: 32,
             trace_jsonl_per_shard: 2,
-            exec_tier: ifp_vm::ExecTier::Interp,
             plan_cache: None,
         }
     }

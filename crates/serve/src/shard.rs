@@ -164,8 +164,7 @@ pub(crate) fn run_shard(
             continue;
         }
 
-        let mut vm_cfg = t.vm_config();
-        vm_cfg.exec_tier = cfg.exec_tier;
+        let vm_cfg = t.vm_config();
         let host = match pool.pop() {
             Some(h) => {
                 out.pool_reused += 1;

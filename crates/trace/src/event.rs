@@ -600,9 +600,26 @@ fn num(f: &mut String, key: &str, v: u64) {
     write!(f, ",\"{key}\":{v}").expect("string write");
 }
 
+/// Writes `,"key":"v"` with `v` escaped as a JSON string: `"` and `\`
+/// get a backslash, control characters the short or `\u00XX` form.
+/// Function names come from the program builder and may hold anything.
 fn str_field(f: &mut String, key: &str, v: &str) {
     use fmt::Write;
-    write!(f, ",\"{key}\":\"{v}\"").expect("string write");
+    write!(f, ",\"{key}\":\"").expect("string write");
+    for c in v.chars() {
+        match c {
+            '"' => f.push_str("\\\""),
+            '\\' => f.push_str("\\\\"),
+            '\n' => f.push_str("\\n"),
+            '\r' => f.push_str("\\r"),
+            '\t' => f.push_str("\\t"),
+            c if u32::from(c) < 0x20 => {
+                write!(f, "\\u{:04x}", u32::from(c)).expect("string write");
+            }
+            c => f.push(c),
+        }
+    }
+    f.push('"');
 }
 
 fn bool_field(f: &mut String, key: &str, v: bool) {

@@ -126,17 +126,33 @@ fn parse_flat_object(line: &str) -> Option<BTreeMap<String, Val>> {
             loop {
                 match bytes.get(i)? {
                     b'"' => break,
-                    // The emitter never escapes, but tolerate the basics
-                    // in hand-edited logs.
+                    // Every JSON escape: the emitter writes `\"`, `\\`,
+                    // `\n`, `\r`, `\t` and `\u00XX`; the rest may come
+                    // from hand-edited logs.
                     b'\\' => {
                         i += 1;
-                        v.push(match bytes.get(i)? {
-                            b'"' => b'"',
-                            b'\\' => b'\\',
-                            b'n' => b'\n',
-                            b't' => b'\t',
+                        let c = match bytes.get(i)? {
+                            b'"' => '"',
+                            b'\\' => '\\',
+                            b'/' => '/',
+                            b'b' => '\u{8}',
+                            b'f' => '\u{c}',
+                            b'n' => '\n',
+                            b'r' => '\r',
+                            b't' => '\t',
+                            b'u' => {
+                                let hex = bytes.get(i + 1..i + 5)?;
+                                if !hex.iter().all(u8::is_ascii_hexdigit) {
+                                    return None;
+                                }
+                                i += 4;
+                                let hex = std::str::from_utf8(hex).ok()?;
+                                char::from_u32(u32::from_str_radix(hex, 16).ok()?)?
+                            }
                             _ => return None,
-                        });
+                        };
+                        let mut buf = [0u8; 4];
+                        v.extend_from_slice(c.encode_utf8(&mut buf).as_bytes());
                     }
                     &b => v.push(b),
                 }
@@ -502,6 +518,20 @@ mod tests {
         s.add_line("{\"seq\":0,\"func\":\"main\",\"kind\":\"free\",\"addr\":\"0x10\"}");
         assert_eq!(s.malformed_lines, 1);
         assert_eq!(s.total, 1);
+    }
+
+    #[test]
+    fn escaped_strings_parse_back() {
+        let obj =
+            parse_flat_object(r#"{"a":"q\"b\\s\/n\nr\rt\tb\bf\fu\u0001\u00e9","b":1}"#).unwrap();
+        assert_eq!(
+            obj.get("a").unwrap().as_str(),
+            Some("q\"b\\s/n\nr\rt\tb\u{8}f\u{c}u\u{1}\u{e9}")
+        );
+        assert_eq!(obj.get("b").unwrap().as_u64(), Some(1));
+        for bad in [r#"{"a":"\x"}"#, r#"{"a":"\u00"}"#, r#"{"a":"\u+01a"}"#] {
+            assert!(parse_flat_object(bad).is_none(), "{bad}");
+        }
     }
 
     #[test]

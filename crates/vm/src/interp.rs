@@ -1,12 +1,5 @@
 //! The interpreter.
 
-/// The superinstruction-fused tier-2 executor. A child module so it can
-/// drive the same private machine state (and, critically, the same
-/// `exec_*`/charge helpers) as the interpreter — bit-identical modeled
-/// stats by construction, not by parallel maintenance.
-#[path = "fused.rs"]
-mod fused;
-
 use crate::loader::{self, LoadedImage, CTYPE_TABLE_ADDR, LOCAL_OFFSET_LT_CAP, SUBHEAP_LT_CAP};
 use crate::stats::RunStats;
 use crate::{AllocatorKind, Mode, RunResult, VmConfig, VmError};
@@ -21,7 +14,6 @@ use ifp_compiler::types::Type;
 use ifp_compiler::InstrPlan;
 use ifp_hw::ifp_unit::Narrowing;
 use ifp_hw::{CtrlRegs, IfpUnit, LoadStoreUnit, PromoteKind, Trap};
-use ifp_jit::{ExecTier, FusionStats};
 use ifp_mem::layout::{GLOBAL_TABLE_BASE, HEAP_BASE, STACK_SIZE, STACK_TOP};
 use ifp_mem::{CacheConfig, MemSystem};
 use ifp_tag::{
@@ -104,8 +96,7 @@ enum Code {
 #[derive(Debug)]
 struct FuncCode {
     code: Vec<Code>,
-    /// Block-body ops in flattened order (terminators excluded). Shared
-    /// by the interpreter stream and the fused tier's generic slots.
+    /// Block-body ops in flattened order (terminators excluded).
     ops: Vec<Op>,
 }
 
@@ -193,15 +184,14 @@ pub fn program_fingerprint(program: &Program) -> u64 {
     h.0
 }
 
-/// Everything the execution tiers derive from a program before the
-/// first step, compiled once and shareable across runs and threads:
-/// the instrumentation plan, the pre-decoded interpreter streams, and
-/// (on the jit tier) the fused superinstruction streams.
+/// Everything the interpreter derives from a program before the first
+/// step, compiled once and shareable across runs and threads: the
+/// instrumentation plan and the pre-decoded instruction streams.
 ///
 /// An artifact is keyed by program content and compile inputs — see
 /// [`compile_artifact`] — never by allocator kind, promote ablation,
 /// temporal policy, cache geometry, or fuel, none of which participate
-/// in decode/analyze/fuse. Construction cost ([`CompiledArtifact::compile_ns`])
+/// in decode/analyze. Construction cost ([`CompiledArtifact::compile_ns`])
 /// is host telemetry only; no modeled statistic depends on whether an
 /// artifact was freshly compiled or recalled from a cache.
 #[derive(Debug)]
@@ -213,51 +203,19 @@ pub struct CompiledArtifact {
     /// Whether statically proven elisions were baked into the plan
     /// (always `false` when uninstrumented — elision is a plan input).
     pub elide_checks: bool,
-    /// The execution tier the artifact serves.
-    pub tier: ExecTier,
-    /// Host nanoseconds spent validating + analyzing + decoding +
-    /// fusing. Telemetry only.
+    /// Host nanoseconds spent validating + analyzing + decoding.
+    /// Telemetry only.
     pub compile_ns: u64,
     plan: Option<InstrPlan>,
     decoded: Vec<FuncCode>,
-    fused: Option<fused::FusedProgram>,
-}
-
-impl CompiledArtifact {
-    /// Approximate heap footprint of the artifact, for cache byte
-    /// budgets. An estimate (inline slot sizes plus the per-op heap
-    /// payloads), not an exact accounting.
-    #[must_use]
-    pub fn approx_bytes(&self) -> usize {
-        let mut bytes = std::mem::size_of::<CompiledArtifact>();
-        for fc in &self.decoded {
-            bytes += fc.code.len() * std::mem::size_of::<Code>();
-            bytes += fc.ops.len() * std::mem::size_of::<Op>();
-            for op in &fc.ops {
-                bytes += match op {
-                    Op::Gep { steps, .. } => steps.len() * std::mem::size_of::<GepStep>(),
-                    Op::Call { args, func, .. } => {
-                        args.len() * std::mem::size_of::<Operand>() + func.len()
-                    }
-                    Op::CallExt { args, .. } => args.len() * std::mem::size_of::<Operand>(),
-                    _ => 0,
-                };
-            }
-        }
-        if let Some(fp) = &self.fused {
-            bytes += fp.approx_bytes();
-        }
-        bytes
-    }
 }
 
 /// Compiles `program` into a [`CompiledArtifact`] for `config`:
 /// validates, runs the instrumentation/elision analysis (instrumented
-/// modes), pre-decodes every function, and (jit tier) lowers the fusion
-/// plan into threaded streams.
+/// modes) and pre-decodes every function.
 ///
-/// The artifact depends only on the program content and three config
-/// facts — `mode.is_instrumented()`, `elide_checks`, `exec_tier` — so
+/// The artifact depends only on the program content and two config
+/// facts — `mode.is_instrumented()` and `elide_checks` — so
 /// one artifact serves every allocator / promote-ablation / temporal /
 /// cache-geometry variation of a run.
 ///
@@ -273,19 +231,13 @@ pub fn compile_artifact(program: &Program, config: &VmConfig) -> Result<Compiled
     let elide_checks = instrumented && config.elide_checks;
     let plan = instrumented.then(|| ifp_analyze::instr_plan(program, config.elide_checks));
     let decoded = predecode(program, plan.as_ref());
-    let fused = (config.exec_tier == ExecTier::Jit).then(|| {
-        let fplan = ifp_jit::fuse(program);
-        fused::compile(program, &decoded, &fplan)
-    });
     Ok(CompiledArtifact {
         fingerprint: program_fingerprint(program),
         instrumented,
         elide_checks,
-        tier: config.exec_tier,
         compile_ns: u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX),
         plan,
         decoded,
-        fused,
     })
 }
 
@@ -389,8 +341,8 @@ impl Default for VmHost {
 /// is exposed for harnesses that want to inspect state between steps.
 pub struct Vm<'p> {
     program: &'p Program,
-    /// The compiled artifact driving this run: pre-decoded instruction
-    /// streams (and, on the jit tier, the fused streams). Shared —
+    /// The compiled artifact driving this run: the pre-decoded
+    /// instruction streams. Shared —
     /// possibly recalled from a plan cache and concurrently driving
     /// sibling VMs on other threads.
     artifact: Arc<CompiledArtifact>,
@@ -417,8 +369,6 @@ pub struct Vm<'p> {
     /// don't pay a register-file allocation per call.
     frame_pool: Vec<Frame>,
     tracer: Tracer,
-    /// Dispatch counters left behind by a fused run, for `finalize`.
-    fstats: Option<FusionStats>,
 }
 
 impl<'p> Vm<'p> {
@@ -455,11 +405,11 @@ impl<'p> Vm<'p> {
 
     /// Like [`Vm::with_host`], but reuses an already-compiled
     /// [`CompiledArtifact`] — typically recalled from a plan cache —
-    /// instead of validating/analyzing/decoding/fusing the program
-    /// again. The artifact must have been produced by
-    /// [`compile_artifact`] from a structurally identical program under
-    /// a config agreeing on `mode.is_instrumented()`, `elide_checks`,
-    /// and `exec_tier` (checked by `debug_assert`); content addressing
+    /// instead of validating/analyzing/decoding the program again. The
+    /// artifact must have been produced by [`compile_artifact`] from a
+    /// structurally identical program under a config agreeing on
+    /// `mode.is_instrumented()` and `elide_checks` (checked by
+    /// `debug_assert`); content addressing
     /// makes a stale artifact impossible when the fingerprint matches.
     ///
     /// Runs from a shared artifact are bit-identical to fresh runs in
@@ -481,7 +431,6 @@ impl<'p> Vm<'p> {
             artifact.elide_checks,
             config.mode.is_instrumented() && config.elide_checks
         );
-        debug_assert_eq!(artifact.tier, config.exec_tier);
         let plan = artifact.plan.as_ref();
 
         host.reset_for(config);
@@ -545,7 +494,6 @@ impl<'p> Vm<'p> {
             frames: Vec::new(),
             frame_pool: Vec::new(),
             tracer,
-            fstats: None,
         }
     }
 
@@ -691,21 +639,12 @@ impl<'p> Vm<'p> {
         (result, host)
     }
 
-    /// The dispatch loop: enters `main` and steps until it returns. On
-    /// the jit tier this compiles the fusion plan into per-function
-    /// threaded streams and runs the fused loop instead; both paths are
-    /// bit-identical in every modeled statistic.
+    /// The dispatch loop: enters `main` and steps until it returns.
     fn run_loop(&mut self) -> Result<i64, VmError> {
-        // One Arc clone for the whole run: the dispatch loops borrow the
+        // One Arc clone for the whole run: the dispatch loop borrows the
         // streams from this local handle, not from `self`, so `&Op`
         // references coexist with `&mut self` in the handlers.
         let art = Arc::clone(&self.artifact);
-        if art.fused.is_some() {
-            let mut fs = FusionStats::default();
-            let r = self.run_loop_fused(&art, &mut fs);
-            self.fstats = Some(fs);
-            return r;
-        }
         self.enter_main()?;
         loop {
             match self.step_inner(&art)? {
@@ -832,7 +771,6 @@ impl<'p> Vm<'p> {
             output: std::mem::take(&mut self.output),
             stats: std::mem::take(&mut self.stats),
             trace,
-            fusion: self.fstats.take(),
         }
     }
 
@@ -1356,9 +1294,7 @@ impl<'p> Vm<'p> {
 
     /// Everything a GEP does after the address walk: charging, the
     /// ifpadd/ifpidx/ifpbnd tag maintenance, static narrowing, and the
-    /// destination write. Shared verbatim by the interpreter (which
-    /// walks types per step) and the fused tier (which precomputes the
-    /// walk), so the modeled semantics live in exactly one place.
+    /// destination write, after [`Vm::exec_gep`] has walked the types.
     #[allow(clippy::too_many_arguments)]
     fn gep_apply(
         &mut self,
@@ -1480,10 +1416,7 @@ impl<'p> Vm<'p> {
     }
 
     /// One load, with its per-op facts (`size`, `is_ptr`, the promote
-    /// action, elisions) pre-resolved by the caller — the interpreter
-    /// derives them from the op each step, the fused tier bakes them
-    /// into its stream at compile time. Both tiers execute this exact
-    /// body, so charge order, counters, and trap points cannot drift.
+    /// action, elisions) resolved from the op by the caller.
     fn exec_load(
         &mut self,
         dst: Reg,
@@ -1555,7 +1488,8 @@ impl<'p> Vm<'p> {
         Ok(())
     }
 
-    /// One store; see [`Vm::exec_load`] for the shared-body contract.
+    /// One store, with its per-op facts (`size`, the demote action,
+    /// elisions) resolved from the op by the caller.
     fn exec_store(
         &mut self,
         ptr: Operand,

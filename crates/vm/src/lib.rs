@@ -26,7 +26,6 @@ mod interp;
 mod loader;
 pub mod stats;
 
-pub use ifp_jit::{ExecTier, FusionStats};
 pub use interp::{
     compile_artifact, program_fingerprint, CompiledArtifact, StepOutcome, Vm, VmHost,
 };
@@ -37,7 +36,6 @@ use ifp_hw::{CycleModel, Trap};
 use ifp_mem::CacheConfig;
 use ifp_trace::{ForensicReport, TraceConfig, TraceLog};
 use std::fmt;
-use std::sync::Arc;
 
 /// Which instrumented allocator serves heap allocations.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -134,12 +132,6 @@ pub struct VmConfig {
     /// by default, which keeps every run bit-identical to a build without
     /// the analyzer.
     pub elide_checks: bool,
-    /// Which execution tier drives the run. Tier choice is a pure host-
-    /// speed decision: every modeled statistic, trap coordinate, and
-    /// output value is bit-identical across tiers (golden-gated). The
-    /// jit tier applies to [`run`]/[`run_pooled`]; manual [`Vm::step`]
-    /// harnesses always execute on the interpreter.
-    pub exec_tier: ExecTier,
 }
 
 impl Default for VmConfig {
@@ -152,7 +144,6 @@ impl Default for VmConfig {
             trace: TraceConfig::off(),
             temporal: ifp_temporal::TemporalPolicy::Off,
             elide_checks: false,
-            exec_tier: ExecTier::Interp,
         }
     }
 }
@@ -179,10 +170,6 @@ pub struct RunResult {
     pub stats: RunStats,
     /// Snapshot of the event trace, when [`VmConfig::trace`] enabled one.
     pub trace: Option<TraceLog>,
-    /// Fused-dispatch counters from the jit tier (`None` on the
-    /// interpreter tier). Host-executor telemetry only — deliberately
-    /// outside [`RunStats`] so golden-pinned output cannot depend on it.
-    pub fusion: Option<FusionStats>,
 }
 
 /// Why a run did not complete.
@@ -293,36 +280,4 @@ pub fn run_pooled(
         }
         Err(e) => (Err(e), None),
     }
-}
-
-/// Runs `program` to completion under `config` from an already-compiled
-/// [`CompiledArtifact`] (see [`compile_artifact`]), skipping the per-run
-/// validate/analyze/decode/fuse work. Bit-identical to [`run`] in every
-/// modeled statistic — [`run`] itself goes through the same artifact
-/// type; recalling one from a cache only changes host time.
-///
-/// # Errors
-///
-/// See [`VmError`]. Validation already happened at artifact-compile
-/// time, so [`VmError::BadProgram`] cannot occur here.
-pub fn run_with_artifact(
-    program: &Program,
-    config: &VmConfig,
-    artifact: &Arc<CompiledArtifact>,
-) -> Result<RunResult, VmError> {
-    Vm::with_artifact(program, config, artifact, VmHost::with_l1(config.l1)).run()
-}
-
-/// [`run_pooled`] from an already-compiled [`CompiledArtifact`]: skips
-/// the per-run compile work *and* recycles a pooled [`VmHost`]. The
-/// host always comes back (validation happened at artifact-compile
-/// time, so the [`run_pooled`] `BadProgram`-consumes-host path does not
-/// exist here).
-pub fn run_pooled_with_artifact(
-    program: &Program,
-    config: &VmConfig,
-    artifact: &Arc<CompiledArtifact>,
-    host: VmHost,
-) -> (Result<RunResult, VmError>, VmHost) {
-    Vm::with_artifact(program, config, artifact, host).run_pooled()
 }

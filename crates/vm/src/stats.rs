@@ -83,9 +83,9 @@ pub struct ElisionStats {
     pub summary_elided: u64,
 }
 
-/// All statistics from one run. `PartialEq` is part of the execution-
-/// tier contract: the golden suite asserts whole-struct equality of
-/// interpreter-tier and jit-tier stats.
+/// All statistics from one run. `PartialEq` is part of the host-knob
+/// contract: the golden suite asserts whole-struct equality of fresh,
+/// pooled and plan-cached runs.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct RunStats {
     /// Base-ISA instructions executed (including allocator-internal work).

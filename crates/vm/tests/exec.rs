@@ -479,3 +479,50 @@ fn fuel_limit_catches_infinite_loops() {
 fn list_program() -> Program {
     list_program_n(50)
 }
+
+#[test]
+fn odd_function_names_round_trip_through_trace_jsonl() {
+    // Builder function names are arbitrary strings. The JSONL writer
+    // must escape them so the summarizer reads every line back,
+    // including the trap event raised inside the oddly named function.
+    use ifp_trace::{Summary, TraceConfig};
+    let name = "a\"b\\c\nd\u{1}e";
+    let mut pb = ProgramBuilder::new();
+    let i32t = pb.types.int32();
+    let mut f = pb.func(name, 0);
+    let a = f.malloc_n(i32t, 4i64);
+    let i = f.mov(9i64);
+    let oob = f.index_addr(a, i32t, i);
+    f.store(oob, 1i64, i32t);
+    f.ret(None);
+    pb.finish_func(f);
+    let mut main = pb.func("main", 0);
+    main.call_void(name, vec![]);
+    main.ret(Some(Operand::Imm(0)));
+    pb.finish_func(main);
+    let p = pb.build();
+
+    let mut cfg = VmConfig::with_mode(Mode::instrumented(AllocatorKind::Subheap));
+    cfg.trace = TraceConfig::all();
+    let (r, host) = ifp_vm::run_pooled(&p, &cfg, ifp_vm::VmHost::new());
+    match r {
+        Err(VmError::Trap { func, trap, .. }) => {
+            assert!(trap.is_safety_violation(), "{trap}");
+            assert_eq!(func, name);
+        }
+        other => panic!("expected a trap, got {other:?}"),
+    }
+    let funcs: Vec<String> = p.funcs.iter().map(|f| f.name.clone()).collect();
+    let log = host.expect("host survives").trace_snapshot(&funcs);
+    let parsed = Summary::from_jsonl(&log.to_jsonl());
+    assert_eq!(parsed.malformed_lines, 0);
+    let mut direct = Summary::default();
+    direct.add_log(&log);
+    assert_eq!(parsed, direct);
+    assert_eq!(
+        parsed
+            .by_func_kind
+            .get(&(name.to_string(), "trap".to_string())),
+        Some(&1)
+    );
+}

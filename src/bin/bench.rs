@@ -1,7 +1,7 @@
 //! Host-side benchmark driver.
 //!
 //! Usage: `cargo run --release --bin bench -- host [--quick]
-//! [--tier interp|jit|both] [--out PATH]`
+//! [--cache off|warm|both] [--out PATH]`
 //!
 //! The `host` mode measures **simulator throughput on the host** — how
 //! fast the reproduction executes modeled instructions — over three
@@ -24,10 +24,6 @@
 //!
 //! `--quick` shrinks the rep counts for CI smoke runs (the modeled
 //! columns then differ from full runs — compare like with like).
-//! `--tier` selects the execution tier (default `interp`); `both` runs
-//! every suite on each tier, asserts the modeled columns are identical,
-//! and prints the workloads-sweep speedup. Each suite entry carries a
-//! `"tier"` key so per-tier trajectories coexist in `BENCH_host.json`.
 //! `--cache warm` runs every suite through a pre-warmed shared
 //! `PlanCache` (compile amortized out of the timed loop); `both` runs
 //! each suite cache-off then cache-warm and asserts the modeled columns
@@ -47,14 +43,13 @@
 use ifp_juliet::{all_cases, temporal_cases};
 use ifp_plancache::PlanCache;
 use ifp_temporal::TemporalPolicy;
-use ifp_vm::{run, AllocatorKind, ExecTier, Mode, VmConfig, VmError};
+use ifp_vm::{run, AllocatorKind, Mode, VmConfig, VmError};
 use std::fmt::Write as _;
 use std::time::Instant;
 
-/// One suite's measurement on one execution tier.
+/// One suite's measurement.
 struct SuiteResult {
     suite: &'static str,
-    tier: ExecTier,
     /// `"off"` or `"warm"`: whether the suite ran through a pre-warmed
     /// artifact cache. Modeled columns are identical either way
     /// (asserted by the golden gate); only `wall_ms` moves.
@@ -133,7 +128,7 @@ fn elision_rate_of<'a>(programs: impl Iterator<Item = &'a ifp_compiler::Program>
     }
 }
 
-fn juliet_spatial(reps: u32, tier: ExecTier, cache: Option<&PlanCache>) -> SuiteResult {
+fn juliet_spatial(reps: u32, cache: Option<&PlanCache>) -> SuiteResult {
     let spatial_modes = [
         Mode::Baseline,
         Mode::instrumented(AllocatorKind::Wrapped),
@@ -152,7 +147,6 @@ fn juliet_spatial(reps: u32, tier: ExecTier, cache: Option<&PlanCache>) -> Suite
             for mode in spatial_modes {
                 let mut cfg = VmConfig::with_mode(mode);
                 cfg.fuel = 50_000_000;
-                cfg.exec_tier = tier;
                 let _ = c.artifact(&case.program, &cfg);
             }
         }
@@ -165,7 +159,6 @@ fn juliet_spatial(reps: u32, tier: ExecTier, cache: Option<&PlanCache>) -> Suite
             for mode in spatial_modes {
                 let mut cfg = VmConfig::with_mode(mode);
                 cfg.fuel = 50_000_000;
-                cfg.exec_tier = tier;
                 let (i, c) = stats_of(&case.program, &cfg, cache);
                 instrs += i;
                 cycles += c;
@@ -174,7 +167,6 @@ fn juliet_spatial(reps: u32, tier: ExecTier, cache: Option<&PlanCache>) -> Suite
     }
     SuiteResult {
         suite: "juliet_spatial",
-        tier,
         cache: cache_label(cache),
         wall_ms: t0.elapsed().as_secs_f64() * 1e3,
         modeled_instrs: instrs,
@@ -183,7 +175,7 @@ fn juliet_spatial(reps: u32, tier: ExecTier, cache: Option<&PlanCache>) -> Suite
     }
 }
 
-fn workloads_sweep(quick: bool, tier: ExecTier, cache: Option<&PlanCache>) -> SuiteResult {
+fn workloads_sweep(quick: bool, cache: Option<&PlanCache>) -> SuiteResult {
     let mut workloads = ifp_workloads::all();
     if quick {
         workloads.truncate(4);
@@ -194,7 +186,6 @@ fn workloads_sweep(quick: bool, tier: ExecTier, cache: Option<&PlanCache>) -> Su
             for mode in ifp::eval::modes() {
                 let mut cfg = VmConfig::with_mode(mode);
                 cfg.l1 = ifp::eval::sweep_l1();
-                cfg.exec_tier = tier;
                 let _ = c.artifact(program, &cfg);
             }
         }
@@ -203,7 +194,7 @@ fn workloads_sweep(quick: bool, tier: ExecTier, cache: Option<&PlanCache>) -> Su
     let mut instrs = 0u64;
     let mut cycles = 0u64;
     for (w, program) in workloads.iter().zip(&programs) {
-        let sweep = ifp::eval::ModeSweep::run_with_tier_cached(w.name, program, tier, cache)
+        let sweep = ifp::eval::ModeSweep::run_cached(w.name, program, cache)
             .expect("workload sweeps clean");
         for s in [
             &sweep.baseline,
@@ -218,7 +209,6 @@ fn workloads_sweep(quick: bool, tier: ExecTier, cache: Option<&PlanCache>) -> Su
     }
     SuiteResult {
         suite: "workloads_sweep",
-        tier,
         cache: cache_label(cache),
         wall_ms: t0.elapsed().as_secs_f64() * 1e3,
         modeled_instrs: instrs,
@@ -227,14 +217,13 @@ fn workloads_sweep(quick: bool, tier: ExecTier, cache: Option<&PlanCache>) -> Su
     }
 }
 
-fn temporal_matrix(reps: u32, tier: ExecTier, cache: Option<&PlanCache>) -> SuiteResult {
+fn temporal_matrix(reps: u32, cache: Option<&PlanCache>) -> SuiteResult {
     let tcases = temporal_cases();
     if let Some(c) = cache {
         for case in &tcases {
             for alloc in [AllocatorKind::Wrapped, AllocatorKind::Subheap] {
                 let mut cfg = VmConfig::with_mode(Mode::instrumented(alloc));
                 cfg.fuel = 50_000_000;
-                cfg.exec_tier = tier;
                 // Temporal policy is not a compile input: one artifact
                 // serves all four policies.
                 let _ = c.artifact(&case.program, &cfg);
@@ -251,7 +240,6 @@ fn temporal_matrix(reps: u32, tier: ExecTier, cache: Option<&PlanCache>) -> Suit
                     let mut cfg = VmConfig::with_mode(Mode::instrumented(alloc));
                     cfg.fuel = 50_000_000;
                     cfg.temporal = policy;
-                    cfg.exec_tier = tier;
                     let (i, c) = stats_of(&case.program, &cfg, cache);
                     instrs += i;
                     cycles += c;
@@ -261,7 +249,6 @@ fn temporal_matrix(reps: u32, tier: ExecTier, cache: Option<&PlanCache>) -> Suit
     }
     SuiteResult {
         suite: "temporal_matrix",
-        tier,
         cache: cache_label(cache),
         wall_ms: t0.elapsed().as_secs_f64() * 1e3,
         modeled_instrs: instrs,
@@ -278,11 +265,10 @@ fn to_json(suites: &[SuiteResult], quick: bool) -> String {
     for (i, r) in suites.iter().enumerate() {
         let _ = write!(
             s,
-            "    {{\"suite\": \"{}\", \"tier\": \"{}\", \"cache\": \"{}\", \"wall_ms\": {:.1}, \
+            "    {{\"suite\": \"{}\", \"cache\": \"{}\", \"wall_ms\": {:.1}, \
              \"modeled_instrs\": {}, \"modeled_cycles\": {}, \"elision_rate\": {:.4}, \
              \"instrs_per_sec\": {}}}",
             r.suite,
-            r.tier.name(),
             r.cache,
             r.wall_ms,
             r.modeled_instrs,
@@ -297,8 +283,7 @@ fn to_json(suites: &[SuiteResult], quick: bool) -> String {
 }
 
 fn usage() -> ! {
-    eprintln!("usage: bench -- host [--quick] [--tier interp|jit|both]");
-    eprintln!("                     [--cache off|warm|both] [--out PATH]");
+    eprintln!("usage: bench -- host [--quick] [--cache off|warm|both] [--out PATH]");
     eprintln!("       bench -- serve [--quick] [--requests N] [--seed S] [--workers N]");
     eprintln!("                      [--shards N] [--concurrency SPEC] [--plan-cache]");
     eprintln!("                      [--out PATH] [--jsonl PATH]");
@@ -434,20 +419,11 @@ fn main() {
     }
     let mut quick = false;
     let mut out_path: Option<String> = None;
-    let mut tiers = vec![ExecTier::Interp];
     let mut cache_modes = vec![false];
     let mut rest = args[1..].iter();
     while let Some(a) = rest.next() {
         match a.as_str() {
             "--quick" => quick = true,
-            "--tier" => match rest.next().map(String::as_str) {
-                Some("both") => tiers = vec![ExecTier::Interp, ExecTier::Jit],
-                Some(t) => match ExecTier::from_name(t) {
-                    Some(tier) => tiers = vec![tier],
-                    None => usage(),
-                },
-                None => usage(),
-            },
             "--cache" => match rest.next().map(String::as_str) {
                 Some("off") => cache_modes = vec![false],
                 Some("warm") => cache_modes = vec![true],
@@ -467,38 +443,34 @@ fn main() {
     for &warm in &cache_modes {
         let cache = warm.then(PlanCache::new);
         let label = if warm { "warm" } else { "off" };
-        for &tier in &tiers {
-            let c = cache.as_ref();
-            eprintln!("bench host [{tier}/cache {label}]: juliet_spatial ({reps} reps)...");
-            suites.push(juliet_spatial(reps, tier, c));
-            eprintln!(
-                "bench host [{tier}/cache {label}]: workloads_sweep ({})...",
-                if quick { "first 4" } else { "all 18" }
-            );
-            suites.push(workloads_sweep(quick, tier, c));
-            eprintln!("bench host [{tier}/cache {label}]: temporal_matrix ({reps} reps)...");
-            suites.push(temporal_matrix(reps, tier, c));
-        }
+        let c = cache.as_ref();
+        eprintln!("bench host [cache {label}]: juliet_spatial ({reps} reps)...");
+        suites.push(juliet_spatial(reps, c));
+        eprintln!(
+            "bench host [cache {label}]: workloads_sweep ({})...",
+            if quick { "first 4" } else { "all 18" }
+        );
+        suites.push(workloads_sweep(quick, c));
+        eprintln!("bench host [cache {label}]: temporal_matrix ({reps} reps)...");
+        suites.push(temporal_matrix(reps, c));
         if let Some(c) = &cache {
             let s = c.stats();
             eprintln!(
                 "  plan cache: {} hits / {} misses ({:.1}% hit rate), compile {:.1}ms, \
-                 {} artifacts resident, {} evictions",
+                 {} artifacts resident",
                 s.hits,
                 s.misses,
                 s.hit_rate() * 100.0,
                 s.compile_ns as f64 / 1e6,
                 s.resident_artifacts,
-                s.evictions,
             );
         }
     }
     for r in &suites {
         eprintln!(
-            "  {} [{}/cache {}]: wall_ms={:.1} modeled_instrs={} modeled_cycles={} \
+            "  {} [cache {}]: wall_ms={:.1} modeled_instrs={} modeled_cycles={} \
              elision_rate={:.4} instrs_per_sec={}",
             r.suite,
-            r.tier.name(),
             r.cache,
             r.wall_ms,
             r.modeled_instrs,
@@ -507,7 +479,7 @@ fn main() {
             r.instrs_per_sec()
         );
     }
-    // Tier and cache are both host-speed knobs: every entry of one suite
+    // The cache is a host-speed knob: every entry of one suite
     // must agree exactly on the modeled columns. Bail loudly rather than
     // record a drifted trajectory point.
     for r in &suites {
@@ -522,29 +494,9 @@ fn main() {
                 first.elision_rate
             ),
             (r.modeled_instrs, r.modeled_cycles, r.elision_rate),
-            "{}: modeled columns drifted across tier/cache variants",
+            "{}: modeled columns drifted across cache variants",
             r.suite
         );
-    }
-    if tiers.len() == 2 {
-        for &warm in &cache_modes {
-            let label = if warm { "warm" } else { "off" };
-            let ws: Vec<&SuiteResult> = suites
-                .iter()
-                .filter(|s| s.suite == "workloads_sweep" && s.cache == label)
-                .collect();
-            if let [si, sj] = ws[..] {
-                if sj.wall_ms > 0.0 {
-                    eprintln!(
-                        "  workloads_sweep speedup [cache {label}]: {:.2}x \
-                         (interp {:.1}ms -> jit {:.1}ms)",
-                        si.wall_ms / sj.wall_ms,
-                        si.wall_ms,
-                        sj.wall_ms
-                    );
-                }
-            }
-        }
     }
     let json = to_json(&suites, quick);
     match out_path {

@@ -7,33 +7,26 @@
 //!    program (18 workloads + every generated Juliet case).
 //! 2. With `elide_checks` on — the plan now including inter-procedural
 //!    summaries — every Juliet outcome, all cases under both
-//!    instrumented allocators and both execution tiers, is identical to
-//!    the run without elision, while the elision measurably removes
-//!    modeled work.
+//!    instrumented allocators, is identical to the run without elision,
+//!    while the elision measurably removes modeled work.
 //! 3. A pinned-seed differential fuzz campaign with the elision legs
 //!    enabled produces zero findings, and so does the combined
-//!    elide + jit + plan-cache + interproc campaign.
+//!    elide + plan-cache + interproc campaign.
 
 use ifp_juliet::{all_cases, CaseOutcome};
-use ifp_vm::{run, AllocatorKind, ExecTier, Mode, RunStats, VmConfig, VmError};
+use ifp_vm::{run, AllocatorKind, Mode, RunStats, VmConfig, VmError};
 
-fn config(mode: Mode, tier: ExecTier, elide: bool) -> VmConfig {
+fn config(mode: Mode, elide: bool) -> VmConfig {
     let mut cfg = VmConfig::with_mode(mode);
     cfg.fuel = 50_000_000;
-    cfg.exec_tier = tier;
     cfg.elide_checks = elide;
     cfg
 }
 
 /// Runs a program and classifies it the way the Juliet harness does,
 /// also returning the stats (up to the trap for trapping runs).
-fn outcome_of(
-    program: &ifp_compiler::Program,
-    mode: Mode,
-    tier: ExecTier,
-    elide: bool,
-) -> (CaseOutcome, RunStats) {
-    match run(program, &config(mode, tier, elide)) {
+fn outcome_of(program: &ifp_compiler::Program, mode: Mode, elide: bool) -> (CaseOutcome, RunStats) {
+    match run(program, &config(mode, elide)) {
         Ok(r) => (CaseOutcome::Completed, r.stats),
         Err(VmError::Trap { trap, stats, .. }) => {
             let o = if trap.is_safety_violation() {
@@ -80,48 +73,26 @@ fn elision_preserves_every_juliet_verdict_and_saves_cycles() {
         let mut rows = Vec::new();
         for alloc in AllocatorKind::ALL {
             let mode = Mode::instrumented(alloc);
-            for tier in [ExecTier::Interp, ExecTier::Jit] {
-                let (off, off_stats) = outcome_of(&case.program, mode, tier, false);
-                let (on, on_stats) = outcome_of(&case.program, mode, tier, true);
-                rows.push((
-                    case.id.clone(),
-                    alloc,
-                    tier,
-                    off,
-                    on,
-                    off_stats.cycles,
-                    on_stats.cycles,
-                ));
-            }
-            // The two tiers consume the same interprocedural elision
-            // plan: their elided runs must agree bit for bit on outcome
-            // and every modeled statistic.
-            let (i_on, i_stats) = outcome_of(&case.program, mode, ExecTier::Interp, true);
-            let (j_on, j_stats) = outcome_of(&case.program, mode, ExecTier::Jit, true);
-            assert_eq!(i_on, j_on, "{} under {alloc}: elided tiers split", case.id);
-            assert_eq!(
-                format!("{i_stats:?}"),
-                format!("{j_stats:?}"),
-                "{} under {alloc}: elided tiers diverged on modeled stats",
-                case.id
-            );
+            let (off, off_stats) = outcome_of(&case.program, mode, false);
+            let (on, on_stats) = outcome_of(&case.program, mode, true);
+            rows.push((
+                case.id.clone(),
+                alloc,
+                off,
+                on,
+                off_stats.cycles,
+                on_stats.cycles,
+            ));
         }
         rows
     });
-    for (id, alloc, tier, off, on, c_off, c_on) in verdicts.into_iter().flatten() {
-        assert_eq!(
-            off, on,
-            "{id} under {alloc}/{tier}: elision changed the verdict"
-        );
+    for (id, alloc, off, on, c_off, c_on) in verdicts.into_iter().flatten() {
+        assert_eq!(off, on, "{id} under {alloc}: elision changed the verdict");
         outcomes += 1;
         cycles_off += c_off;
         cycles_on += c_on;
     }
-    assert_eq!(
-        outcomes,
-        cases.len() * 4,
-        "all cases under both allocators and both tiers"
-    );
+    assert_eq!(outcomes, cases.len() * 2, "all cases under both allocators");
     assert!(
         cycles_on < cycles_off,
         "elision saved no cycles across the Juliet suite ({cycles_off} vs {cycles_on})"
@@ -170,7 +141,6 @@ fn pinned_seed_elide_campaign_has_zero_findings() {
         corpus_dir: None,
         schedule: ifp_fuzz::Schedule::Uniform,
         elide_checks: true,
-        tier_checks: false,
         plan_cache_checks: false,
         interproc_checks: false,
     });
@@ -188,8 +158,8 @@ fn pinned_seed_elide_campaign_has_zero_findings() {
 #[test]
 fn pinned_seed_combined_interproc_campaign_has_zero_findings() {
     // The richest configuration CI exercises: check elision under the
-    // interprocedural plan, jit tier, plan cache, and the combined
-    // interproc leg — all differential, all on one pinned seed.
+    // interprocedural plan, plan cache, and the combined interproc leg —
+    // all differential, all on one pinned seed.
     let report = ifp_fuzz::run_campaign(&ifp_fuzz::CampaignConfig {
         seed: 0x1a7e,
         iterations: 100,
@@ -197,7 +167,6 @@ fn pinned_seed_combined_interproc_campaign_has_zero_findings() {
         corpus_dir: None,
         schedule: ifp_fuzz::Schedule::Uniform,
         elide_checks: true,
-        tier_checks: true,
         plan_cache_checks: true,
         interproc_checks: true,
     });

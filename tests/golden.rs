@@ -10,10 +10,9 @@
 //! `cargo run --release --example golden_capture` and replace the
 //! fixture — and say why in the commit message.
 
-use ifp_compiler::Program;
 use ifp_juliet::all_cases;
 use ifp_plancache::PlanCache;
-use ifp_vm::{run, AllocatorKind, ExecTier, Mode, RunResult, VmConfig, VmError};
+use ifp_vm::{run, AllocatorKind, Mode, RunResult, VmConfig, VmError};
 use std::fmt::Write as _;
 
 const EXPECTED: &str = include_str!("golden_host_expected.txt");
@@ -40,59 +39,6 @@ fn modes() -> [(&'static str, Mode); 5] {
     ]
 }
 
-/// Runs `program` under `cfg` on **both execution tiers** and asserts
-/// every modeled observable — exit code, output, the whole [`RunStats`]
-/// struct, trap identity — is bit-identical. Any divergence is a hard
-/// failure (the tier contract), independent of the fixture comparison.
-/// Returns the interpreter-tier result, so the golden lines themselves
-/// are always produced by tier 1.
-fn run_both_tiers(program: &Program, cfg: &VmConfig) -> Result<RunResult, VmError> {
-    let mut icfg = *cfg;
-    icfg.exec_tier = ExecTier::Interp;
-    let mut jcfg = *cfg;
-    jcfg.exec_tier = ExecTier::Jit;
-    let ri = run(program, &icfg);
-    let rj = run(program, &jcfg);
-    match (&ri, &rj) {
-        (Ok(a), Ok(b)) => {
-            assert_eq!(a.exit_code, b.exit_code, "tier drift: exit code");
-            assert_eq!(a.output, b.output, "tier drift: program output");
-            assert_eq!(a.stats, b.stats, "tier drift: RunStats");
-        }
-        (
-            Err(VmError::Trap {
-                trap: ta,
-                func: fa,
-                stats: sa,
-                ..
-            }),
-            Err(VmError::Trap {
-                trap: tb,
-                func: fb,
-                stats: sb,
-                ..
-            }),
-        ) => {
-            assert_eq!(
-                format!("{ta:?}"),
-                format!("{tb:?}"),
-                "tier drift: trap kind"
-            );
-            assert_eq!(fa, fb, "tier drift: trapping function");
-            assert_eq!(sa, sb, "tier drift: RunStats at trap");
-        }
-        (Err(a), Err(b)) => {
-            assert_eq!(a.to_string(), b.to_string(), "tier drift: error identity");
-        }
-        (a, b) => panic!(
-            "tier drift: interp {} but jit {}",
-            if a.is_ok() { "completed" } else { "errored" },
-            if b.is_ok() { "completed" } else { "errored" },
-        ),
-    }
-    ri
-}
-
 /// The fixture section whose lines start (or don't start) with `juliet `.
 fn expected_section(juliet: bool) -> String {
     EXPECTED
@@ -114,7 +60,7 @@ fn workload_stats_match_golden_snapshot() {
         for (label, mode) in modes() {
             let mut cfg = VmConfig::with_mode(mode);
             cfg.l1 = ifp::eval::sweep_l1();
-            let r = run_both_tiers(&program, &cfg).expect("workload runs");
+            let r = run(&program, &cfg).expect("workload runs");
             let s = &r.stats;
             let out_sum: i64 = r
                 .output
@@ -146,30 +92,6 @@ fn workload_stats_match_golden_snapshot() {
         }
         assert_eq!(got, want, "golden snapshot line count changed");
     }
-}
-
-#[test]
-fn elided_runs_are_tier_identical() {
-    // The fixture modes run without check elision; this covers the
-    // elision-specialized fused variants. No snapshot — the assertion
-    // is tier equality itself (plus the existing elision invariants
-    // gated elsewhere).
-    let mut elided = 0u64;
-    for wname in ["treeadd", "health", "em3d", "anagram"] {
-        let w = ifp_workloads::by_name(wname).expect("workload");
-        let program = w.build_default();
-        for mode in [
-            Mode::instrumented(AllocatorKind::Wrapped),
-            Mode::instrumented(AllocatorKind::Subheap),
-        ] {
-            let mut cfg = VmConfig::with_mode(mode);
-            cfg.l1 = ifp::eval::sweep_l1();
-            cfg.elide_checks = true;
-            let r = run_both_tiers(&program, &cfg).expect("workload runs");
-            elided += r.stats.elision.checks_elided + r.stats.elision.geps_elided;
-        }
-    }
-    assert!(elided > 0, "elision never fired across the sweep");
 }
 
 /// Asserts two run results are observationally identical: exit code,
@@ -210,75 +132,58 @@ fn assert_identical(a: &Result<RunResult, VmError>, b: &Result<RunResult, VmErro
     }
 }
 
-/// The artifact-cache invisibility gate: every workload×mode×tier cell
-/// runs fresh (cache off), then twice through one shared warm cache —
-/// the cold pass exercises miss+insert, the warm pass the hit path —
-/// and all three must be observationally identical. A trap-heavy Juliet
-/// sample then pins trap identity through the same cache. The miss
-/// count is asserted exactly: the cache key is (program fingerprint,
-/// instrumented?, elision, tier), so five modes collapse to two keys
-/// per workload per tier.
+/// The artifact-cache invisibility gate: every workload×mode cell runs
+/// fresh (cache off), then twice through one shared cache — the cold
+/// pass exercises miss+insert, the warm pass the hit path — and all
+/// three must be observationally identical. A trap-heavy Juliet sample
+/// then pins trap identity through the same cache. The miss count is
+/// asserted exactly: the cache key is (program fingerprint,
+/// instrumented?, elision), so five modes collapse to two keys per
+/// workload.
 #[test]
-fn cached_sweep_is_bit_identical_to_fresh_on_both_tiers() {
+fn cached_sweep_is_bit_identical_to_fresh() {
     let cache = PlanCache::new();
     let mut cells = 0u64;
     for wname in ["treeadd", "health", "em3d", "anagram"] {
         let w = ifp_workloads::by_name(wname).expect("workload");
         let program = w.build_default();
         for (label, mode) in modes() {
-            for tier in [ExecTier::Interp, ExecTier::Jit] {
-                let mut cfg = VmConfig::with_mode(mode);
-                cfg.l1 = ifp::eval::sweep_l1();
-                cfg.exec_tier = tier;
-                let fresh = run(&program, &cfg);
-                for pass in ["cold", "warm"] {
-                    let cached = cache.run(&program, &cfg);
-                    assert_identical(
-                        &fresh,
-                        &cached,
-                        &format!("{wname}/{label}/{tier:?} ({pass} pass)"),
-                    );
-                }
-                cells += 1;
+            let mut cfg = VmConfig::with_mode(mode);
+            cfg.l1 = ifp::eval::sweep_l1();
+            let fresh = run(&program, &cfg);
+            for pass in ["cold", "warm"] {
+                let cached = cache.run(&program, &cfg);
+                assert_identical(&fresh, &cached, &format!("{wname}/{label} ({pass} pass)"));
             }
+            cells += 1;
         }
     }
     let s = cache.stats();
-    // 4 workloads × {baseline, instrumented} × 2 tiers = 16 compiles;
-    // every other lookup of the 2-passes-per-cell sweep must hit.
-    assert_eq!(s.misses, 16, "{s:?}");
-    assert_eq!(s.hits, 2 * cells - 16, "{s:?}");
+    // 4 workloads × {baseline, instrumented} = 8 compiles; every other
+    // lookup of the 2-passes-per-cell sweep must hit.
+    assert_eq!(s.misses, 8, "{s:?}");
+    assert_eq!(s.hits, 2 * cells - 8, "{s:?}");
 
     // Trap identity through the same cache: a strided Juliet sample
-    // under both instrumented allocators and both tiers.
+    // under both instrumented allocators.
     let cases = all_cases();
     for case in cases.iter().step_by(7) {
         for (label, mode) in &modes()[1..3] {
-            for tier in [ExecTier::Interp, ExecTier::Jit] {
-                let mut cfg = VmConfig::with_mode(*mode);
-                cfg.fuel = 50_000_000;
-                cfg.exec_tier = tier;
-                let fresh = run(&case.program, &cfg);
-                let cached = cache.run(&case.program, &cfg);
-                assert_identical(
-                    &fresh,
-                    &cached,
-                    &format!("juliet {}/{label}/{tier:?}", case.id),
-                );
-            }
+            let mut cfg = VmConfig::with_mode(*mode);
+            cfg.fuel = 50_000_000;
+            let fresh = run(&case.program, &cfg);
+            let cached = cache.run(&case.program, &cfg);
+            assert_identical(&fresh, &cached, &format!("juliet {}/{label}", case.id));
         }
     }
     let s = cache.stats();
-    assert_eq!(s.evictions, 0, "default budget must not thrash: {s:?}");
     assert!(s.hits > s.misses, "{s:?}");
 }
 
 #[test]
 fn juliet_trap_identity_matches_golden_snapshot() {
     // Every case's outcome — trap kind, faulting function, cycle count at
-    // the trap (or exit code) — hashed into one line per allocator. Each
-    // case runs on both tiers; `run_both_tiers` turns any divergence in
-    // verdict, stats, or trap coordinates into a hard failure.
+    // the trap (or exit code) — hashed into one line per allocator.
     let cases = all_cases();
     let mut got = String::new();
     for (label, mode) in &modes()[1..3] {
@@ -286,7 +191,7 @@ fn juliet_trap_identity_matches_golden_snapshot() {
         for case in &cases {
             let mut cfg = VmConfig::with_mode(*mode);
             cfg.fuel = 50_000_000;
-            match run_both_tiers(&case.program, &cfg) {
+            match run(&case.program, &cfg) {
                 Ok(r) => {
                     let _ = writeln!(ids, "{}:ok:{}", case.id, r.exit_code);
                 }
