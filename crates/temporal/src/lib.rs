@@ -247,6 +247,16 @@ pub struct TemporalState {
     /// Total allocations ever stamped (reuse-distance clock).
     allocs: u64,
     next_key: u64,
+    /// `[lo, hi)` covering every region ever registered. Revoked regions
+    /// were live once, so an address outside it is in neither map.
+    envelope: (u64, u64),
+    /// `(base, end)` of each key's live region, indexed by `key - 1`;
+    /// `(0, 0)` once the key is no longer live.
+    live_by_key: Vec<(u64, u64)>,
+    /// Whether no live region was ever registered overlapping another.
+    /// The key-indexed fast path relies on it: with disjoint regions, a
+    /// key's own region is exactly what `containing` finds.
+    live_disjoint: bool,
     /// Counters for `RunStats`.
     pub stats: TemporalStats,
 }
@@ -286,6 +296,9 @@ impl TemporalState {
             pending_bytes: 0,
             allocs: 0,
             next_key: 1,
+            envelope: (u64::MAX, 0),
+            live_by_key: Vec::new(),
+            live_disjoint: true,
             stats: TemporalStats::default(),
         }
     }
@@ -337,7 +350,19 @@ impl TemporalState {
         for b in stale {
             self.revoked.remove(&b);
         }
-        self.live.insert(base, LiveRegion { size, key });
+        // A region nested in or straddling a live one (rather than
+        // replacing it at the same base) makes `containing` answer with
+        // the innermost base, not the key's own region.
+        if let Some((&b, r)) = self.live.range(..base + size).next_back() {
+            if b > base || (b < base && base < b + r.size) {
+                self.live_disjoint = false;
+            }
+        }
+        if let Some(old) = self.live.insert(base, LiveRegion { size, key }) {
+            self.live_by_key[old.key as usize - 1] = (0, 0);
+        }
+        self.live_by_key.push((base, base + size));
+        self.envelope = (self.envelope.0.min(base), self.envelope.1.max(end));
         self.stats.stamped += 1;
         key
     }
@@ -350,6 +375,7 @@ impl TemporalState {
             return FreeOutcome::NotTracked;
         }
         if let Some(r) = self.live.remove(&base) {
+            self.live_by_key[r.key as usize - 1] = (0, 0);
             self.freed_keys.insert(
                 r.key,
                 FreedKey {
@@ -419,11 +445,39 @@ impl TemporalState {
     /// pointer register (`None` for unkeyed pointers — ones that round-
     /// tripped through memory, or pre-temporal flows). Returns the
     /// violation to trap on, if any.
+    ///
+    /// Two O(1) fast paths answer the common cases without a map lookup:
+    /// an address outside every region ever registered (stack and
+    /// globals), and a keyed access inside its own live region.
     pub fn check(&mut self, addr: u64, stamp: Option<u64>) -> Option<TemporalViolation> {
         if !self.enabled() {
             return None;
         }
         self.stats.checks += 1;
+        let own_region = || {
+            let (base, end) = stamp
+                .and_then(|k| self.live_by_key.get(k.wrapping_sub(1) as usize))
+                .copied()
+                .unwrap_or_default();
+            self.live_disjoint && base <= addr && addr < end
+        };
+        if !self.in_envelope(addr) || own_region() {
+            debug_assert_eq!(self.classify(addr, stamp), None, "fast path at {addr:#x}");
+            return None;
+        }
+        let v = self.classify(addr, stamp);
+        if v.is_some() {
+            self.stats.violations += 1;
+        }
+        v
+    }
+
+    fn in_envelope(&self, addr: u64) -> bool {
+        self.envelope.0 <= addr && addr < self.envelope.1
+    }
+
+    /// [`TemporalState::check`]'s verdict from the region maps alone.
+    fn classify(&self, addr: u64, stamp: Option<u64>) -> Option<TemporalViolation> {
         if let Some((_, r)) = containing(&self.live, addr, |r| r.size) {
             // Live region. An unkeyed pointer is never challenged (no
             // false positives on legacy flows); a matching key passes.
@@ -438,12 +492,11 @@ impl TemporalState {
                 // Quarantine is address-based: once the region was
                 // reused the evidence is gone.
                 TemporalPolicy::Quarantine => false,
-                TemporalPolicy::Off => unreachable!("checked above"),
+                TemporalPolicy::Off => unreachable!("checked by the caller"),
             };
             if !caught {
                 return None;
             }
-            self.stats.violations += 1;
             let freed = self.freed_keys.get(&key);
             return Some(TemporalViolation {
                 kind: TemporalKind::UseAfterFree,
@@ -453,19 +506,15 @@ impl TemporalState {
                 reuse_distance: freed.map_or(0, |f| self.allocs - f.freed_at),
             });
         }
-        if let Some((rbase, r)) = containing(&self.revoked, addr, |r| r.size) {
-            // Freed and not reused (or quarantined): deterministic hit
-            // under every enforcing policy, keyed or not.
-            self.stats.violations += 1;
-            return Some(TemporalViolation {
-                kind: TemporalKind::UseAfterFree,
-                addr,
-                freed_base: rbase,
-                freed_size: r.size,
-                reuse_distance: self.allocs - r.freed_at,
-            });
-        }
-        None
+        // Freed and not reused (or quarantined): deterministic hit under
+        // every enforcing policy, keyed or not.
+        containing(&self.revoked, addr, |r| r.size).map(|(rbase, r)| TemporalViolation {
+            kind: TemporalKind::UseAfterFree,
+            addr,
+            freed_base: rbase,
+            freed_size: r.size,
+            reuse_distance: self.allocs - r.freed_at,
+        })
     }
 
     /// The key of the live allocation covering `addr`, if any — how
@@ -473,6 +522,10 @@ impl TemporalState {
     #[must_use]
     pub fn stamp_at(&self, addr: u64) -> Option<u64> {
         if !self.enabled() {
+            return None;
+        }
+        if !self.in_envelope(addr) {
+            debug_assert!(containing(&self.live, addr, |r| r.size).is_none());
             return None;
         }
         containing(&self.live, addr, |r| r.size).map(|(_, r)| r.key)
@@ -656,5 +709,170 @@ mod tests {
         t.on_alloc(0x1000, 64);
         assert!(!t.is_revoked(0x1000));
         assert!(t.is_revoked(0x2000));
+    }
+
+    /// The two O(1) fast paths against a reference that answers every
+    /// query from the region maps alone, over seeded random histories.
+    mod fast_paths {
+        use super::*;
+        use ifp_testutil::Rng;
+
+        const ARENA: u64 = 0x10_0000;
+        const SLOT: u64 = 0x100;
+        const SLOTS: u64 = 16;
+
+        /// The registry with both fast paths bypassed: `check` and
+        /// `stamp_at` answer through `containing` only.
+        struct Reference(TemporalState);
+
+        impl Reference {
+            fn check(&mut self, addr: u64, stamp: Option<u64>) -> Option<TemporalViolation> {
+                let t = &mut self.0;
+                if !t.enabled() {
+                    return None;
+                }
+                t.stats.checks += 1;
+                let v = t.classify(addr, stamp);
+                t.stats.violations += u64::from(v.is_some());
+                v
+            }
+
+            fn stamp_at(&self, addr: u64) -> Option<u64> {
+                let t = &self.0;
+                if !t.enabled() {
+                    return None;
+                }
+                containing(&t.live, addr, |r| r.size).map(|(_, r)| r.key)
+            }
+        }
+
+        /// An address to probe: inside a slot (live, revoked,
+        /// quarantined or never used), at a region base, or outside the
+        /// arena the way stack and global accesses are.
+        fn probe_addr(rng: &mut Rng, live: &[(u64, u64, u64)]) -> u64 {
+            match rng.range_u32(0, 6) {
+                0 | 1 => ARENA + rng.range_u64(0, SLOTS * SLOT),
+                2 if !live.is_empty() => rng.choose(live).0,
+                3 => rng.range_u64(0x1000, 0x2000),
+                4 => 0x7fff_0000 + rng.range_u64(0, 0x1000),
+                _ => *rng.choose(&[ARENA - 1, ARENA, ARENA + SLOTS * SLOT]),
+            }
+        }
+
+        /// A stamp to probe with: none, a live key, any key ever issued
+        /// (mostly stale), or one never issued.
+        fn probe_stamp(rng: &mut Rng, live: &[(u64, u64, u64)], keys: &[u64]) -> Option<u64> {
+            match rng.range_u32(0, 6) {
+                0 | 1 => None,
+                2 if !live.is_empty() => Some(rng.choose(live).2),
+                3 | 4 if !keys.is_empty() => Some(*rng.choose(keys)),
+                // Keys are 1-based; the VM never carries a 0 stamp while
+                // a policy is enforcing.
+                _ => {
+                    let garbage = rng.u64().max(1);
+                    Some(*rng.choose(&[u64::MAX, garbage]))
+                }
+            }
+        }
+
+        /// One seeded history of allocations, frees, double frees,
+        /// checks and promotes' `stamp_at`, driven through both
+        /// registries. `nested` also registers regions inside live ones,
+        /// breaking the disjointness the key fast path relies on.
+        fn history(policy: TemporalPolicy, rng: &mut Rng, nested: bool) -> TemporalStats {
+            let mut fast = TemporalState::with_quarantine_budget(policy, 4 * SLOT);
+            let mut reference = Reference(fast.clone());
+            // Slots neither live nor held in quarantine, which is what
+            // the allocator may hand out.
+            let mut free_slots: Vec<u64> = (0..SLOTS).map(|i| ARENA + i * SLOT).collect();
+            // `(base, size, key)` of the slot allocations still live.
+            let mut live: Vec<(u64, u64, u64)> = Vec::new();
+            let mut freed: Vec<u64> = Vec::new();
+            let mut keys: Vec<u64> = Vec::new();
+            for _ in 0..300 {
+                match rng.range_u32(0, 10) {
+                    0 | 1 if !free_slots.is_empty() => {
+                        let i = rng.range_usize(0, free_slots.len());
+                        let base = free_slots.swap_remove(i);
+                        let size = rng.range_u64(1, SLOT + 1);
+                        let key = fast.on_alloc(base, size);
+                        assert_eq!(reference.0.on_alloc(base, size), key);
+                        live.push((base, size, key));
+                        keys.push(key);
+                    }
+                    2 if nested && !live.is_empty() => {
+                        let (outer, _, _) = *rng.choose(&live);
+                        let base = outer + rng.range_u64(0, SLOT / 2);
+                        let size = rng.range_u64(0, SLOT / 2);
+                        let key = fast.on_alloc(base, size);
+                        assert_eq!(reference.0.on_alloc(base, size), key);
+                    }
+                    3 | 4 if !live.is_empty() => {
+                        let (base, _, _) = live.swap_remove(rng.range_usize(0, live.len()));
+                        let outcome = fast.on_free(base);
+                        assert_eq!(reference.0.on_free(base), outcome);
+                        freed.push(base);
+                        match outcome {
+                            FreeOutcome::Quarantined { drained, .. } => {
+                                free_slots.extend(drained.iter().map(|&(b, _)| b));
+                            }
+                            FreeOutcome::DoubleFree(_) => {}
+                            _ => free_slots.push(base),
+                        }
+                    }
+                    5 if !freed.is_empty() => {
+                        let base = *rng.choose(&freed);
+                        if !live.iter().any(|&(b, _, _)| b == base) {
+                            assert_eq!(reference.0.on_free(base), fast.on_free(base));
+                        }
+                    }
+                    6 => {
+                        let addr = probe_addr(rng, &live);
+                        assert_eq!(reference.stamp_at(addr), fast.stamp_at(addr), "{addr:#x}");
+                    }
+                    7 if !live.is_empty() => {
+                        // A keyed access at or just past its own region.
+                        let (base, size, key) = *rng.choose(&live);
+                        let addr = base + rng.range_u64(0, size + 8);
+                        assert_eq!(
+                            reference.check(addr, Some(key)),
+                            fast.check(addr, Some(key)),
+                            "{policy}: own-key check({addr:#x}, {key})"
+                        );
+                    }
+                    _ => {
+                        let addr = probe_addr(rng, &live);
+                        let stamp = probe_stamp(rng, &live, &keys);
+                        assert_eq!(
+                            reference.check(addr, stamp),
+                            fast.check(addr, stamp),
+                            "{policy}: check({addr:#x}, {stamp:?})"
+                        );
+                    }
+                }
+            }
+            assert_eq!(reference.0.stats, fast.stats, "{policy}");
+            fast.stats
+        }
+
+        #[test]
+        fn fast_paths_match_the_map_reference() {
+            for policy in TemporalPolicy::ALL {
+                let mut totals = TemporalStats::default();
+                for case in 0..64 {
+                    let mut rng = Rng::stream(0x7e4a, case);
+                    let s = history(policy, &mut rng, case % 2 == 1);
+                    totals.checks += s.checks;
+                    totals.violations += s.violations;
+                    totals.drained += s.drained;
+                }
+                if policy.enabled() {
+                    assert!(totals.checks > 0 && totals.violations > 0, "{policy}");
+                }
+                if policy == TemporalPolicy::Quarantine {
+                    assert!(totals.drained > 0, "quarantine never drained");
+                }
+            }
+        }
     }
 }

@@ -11,7 +11,7 @@ use ifp_compiler::costs as ir_costs;
 use ifp_compiler::instrument::{AllocKind, ElideFlags, OpAction};
 use ifp_compiler::ir::{BinOp, ExtFunc, GepStep, Op, Operand, Program, Reg, Terminator};
 use ifp_compiler::types::Type;
-use ifp_compiler::InstrPlan;
+use ifp_compiler::{InstrPlan, TypeId};
 use ifp_hw::ifp_unit::Narrowing;
 use ifp_hw::{CtrlRegs, IfpUnit, LoadStoreUnit, PromoteKind, Trap};
 use ifp_mem::layout::{GLOBAL_TABLE_BASE, HEAP_BASE, STACK_SIZE, STACK_TOP};
@@ -32,14 +32,20 @@ const BUDDY_BASE: u64 = 0x5000_0000;
 /// Buddy arena order (256 MiB).
 const BUDDY_ORDER: u8 = 28;
 
+/// One virtual register: its value and what rides alongside it.
+#[derive(Clone, Copy, Debug, Default)]
+struct RegSlot {
+    val: u64,
+    bounds: Option<Bounds>,
+    /// Temporal key riding alongside a pointer register (the lock-and-
+    /// key "key"). Lost on memory round-trips, refreshed by `promote`.
+    stamp: Option<u64>,
+}
+
 #[derive(Debug, Default)]
 struct Frame {
     func: usize,
-    regs: Vec<u64>,
-    bounds: Vec<Option<Bounds>>,
-    /// Temporal keys riding alongside pointer registers (the lock-and-
-    /// key "key"). Lost on memory round-trips, refreshed by `promote`.
-    stamps: Vec<Option<u64>>,
+    regs: Vec<RegSlot>,
     /// Index into the function's pre-decoded [`Code`] stream.
     pc: usize,
     /// Caller register receiving the return value.
@@ -52,14 +58,64 @@ struct Frame {
 ///
 /// [`predecode`] flattens every function into one of these per op or
 /// terminator, resolving up front everything `step` would otherwise
-/// re-derive on each execution: the instrumentation action for the op,
-/// the callee index and its bounds-saving flag for calls, and branch
-/// targets as direct indices into the flat stream. The interpreter then
-/// runs on a single `pc` instead of re-indexing
-/// `funcs[fi].blocks[bi].ops[oi]` three levels deep per step.
+/// re-derive on each execution: the instrumentation action and elision
+/// flags for the op, access sizes and pointer-ness for loads and stores,
+/// the type walk of every GEP, the callee index and its bounds-saving
+/// flag for calls, and branch targets as direct indices into the flat
+/// stream. The interpreter then runs on a single `pc` and one `match`
+/// instead of re-indexing `funcs[fi].blocks[bi].ops[oi]` three levels
+/// deep and re-matching the op per step.
+///
+/// The hot ops (`Bin`, `Mov`, `Load`, `Store`, `Gep`) get typed slots
+/// with their operands inline; the rest stay on [`Code::Op`].
 #[derive(Clone, Copy, Debug)]
 enum Code {
-    /// A block-body operation.
+    /// `dst = a <op> b`.
+    Bin {
+        op: BinOp,
+        dst: Reg,
+        a: Operand,
+        b: Operand,
+    },
+    /// `dst = a`, bounds and stamp riding along.
+    Mov { dst: Reg, a: Operand },
+    /// A load with its type resolved to an access size and pointer-ness.
+    Load {
+        dst: Reg,
+        ptr: Operand,
+        size: u8,
+        is_ptr: bool,
+        /// The plan hoists a `promote` after this load.
+        promote: bool,
+        elide: ElideFlags,
+    },
+    /// A store with its type resolved to an access size.
+    Store {
+        ptr: Operand,
+        val: Operand,
+        size: u8,
+        /// The plan demotes the stored pointer (`ifpextract`).
+        demote: bool,
+        elide: ElideFlags,
+    },
+    /// A GEP whose type walk is resolved into
+    /// `FuncCode::gep_steps[steps..steps + n_steps]`.
+    Gep {
+        dst: Reg,
+        base: Operand,
+        steps: u32,
+        n_steps: u32,
+        /// Base instructions retired: the IR step count (at least 1),
+        /// independent of how many resolved steps it folded into.
+        base_cost: u32,
+        /// The plan's `ifpidx` target, if the subobject index changes.
+        new_index: Option<u16>,
+        /// The GEP enters a subobject (`ifpbnd`).
+        enters: bool,
+        /// The tag update is statically discharged.
+        elide_tag: bool,
+    },
+    /// Any other block-body operation.
     Op {
         /// Index into the function's owned [`FuncCode::ops`] table.
         op: u32,
@@ -71,9 +127,6 @@ enum Code {
         callee: u32,
         /// Whether the callee saves/restores a bounds register pair.
         saves_bounds: bool,
-        /// Statically proven elisions for this op (all-false unless the
-        /// plan was built with an [`ifp_compiler::ElisionPlan`]).
-        elide: ElideFlags,
     },
     /// An unconditional jump to a flat-stream index.
     Jmp { cost: u64, target: u32 },
@@ -88,22 +141,88 @@ enum Code {
     Ret { cost: u64, val: Option<Operand> },
 }
 
-/// A function's flattened instruction stream, *owned*: the ops are
-/// cloned out of the source program at compile time (into `ops`, which
-/// `Code::Op` indexes), so the stream has no borrow of the [`Program`]
-/// and a [`CompiledArtifact`] can be cached and shared across runs,
-/// threads, and structurally identical rebuilt programs.
+// The dispatch loop copies one slot per step: keep it within five words.
+const _: () = assert!(std::mem::size_of::<Code>() <= 40);
+
+/// One resolved step of a GEP's address walk. Constant steps (field
+/// selections and immediate indices) fold into the delta of the next
+/// `Field` step or into a trailing `Delta`; only register indices stay
+/// dynamic. Every fold preserves the address of the last field selected,
+/// which static narrowing reads.
+#[derive(Clone, Copy, Debug)]
+enum GepSlot {
+    /// `addr += delta`.
+    Delta(u64),
+    /// `addr += delta`, then the last selected subobject is
+    /// `(addr, size)`.
+    Field { delta: u64, size: u64 },
+    /// `addr += reg * scale`.
+    Index { reg: Reg, scale: i64 },
+}
+
+/// A function's flattened instruction stream, *owned*: everything the
+/// slots reference is cloned or resolved out of the source program at
+/// compile time, so the stream has no borrow of the [`Program`] and a
+/// [`CompiledArtifact`] can be cached and shared across runs, threads,
+/// and structurally identical rebuilt programs.
 #[derive(Debug)]
 struct FuncCode {
     code: Vec<Code>,
-    /// Block-body ops in flattened order (terminators excluded).
+    /// The ops left on [`Code::Op`], in flattened order.
     ops: Vec<Op>,
+    /// Resolved GEP walks, indexed by [`Code::Gep`].
+    gep_steps: Vec<GepSlot>,
+}
+
+/// Resolves a GEP's type walk into `out`, folding constant steps.
+fn resolve_gep(program: &Program, base_ty: TypeId, steps: &[GepStep], out: &mut Vec<GepSlot>) {
+    let types = &program.types;
+    let mut cur_ty = base_ty;
+    // Constant displacement accumulated since the last emitted slot.
+    let mut pending = 0u64;
+    for step in steps {
+        match step {
+            GepStep::Field(i) => {
+                let field = types.field(cur_ty, *i);
+                cur_ty = field.ty;
+                out.push(GepSlot::Field {
+                    delta: pending.wrapping_add(u64::from(field.offset)),
+                    size: u64::from(types.size_of(cur_ty)),
+                });
+                pending = 0;
+            }
+            GepStep::Index(o) => {
+                let elem = match types.get(cur_ty) {
+                    Type::Array { elem, .. } => {
+                        cur_ty = *elem;
+                        *elem
+                    }
+                    _ => cur_ty,
+                };
+                let scale = i64::from(types.size_of(elem));
+                match *o {
+                    Operand::Imm(n) => pending = pending.wrapping_add(n.wrapping_mul(scale) as u64),
+                    Operand::Reg(reg) => {
+                        if pending != 0 {
+                            out.push(GepSlot::Delta(pending));
+                            pending = 0;
+                        }
+                        out.push(GepSlot::Index { reg, scale });
+                    }
+                }
+            }
+        }
+    }
+    if pending != 0 {
+        out.push(GepSlot::Delta(pending));
+    }
 }
 
 /// Flattens every function into its [`Code`] stream. `plan` must be the
 /// instrumentation plan exactly when the mode is instrumented, so decoded
 /// actions match what `InstrPlan` lookup would have produced per step.
 fn predecode(program: &Program, plan: Option<&InstrPlan>) -> Vec<FuncCode> {
+    let types = &program.types;
     let mut decoded = Vec::with_capacity(program.funcs.len());
     let mut starts: Vec<u32> = Vec::new();
     for (fi, f) in program.funcs.iter().enumerate() {
@@ -114,27 +233,80 @@ fn predecode(program: &Program, plan: Option<&InstrPlan>) -> Vec<FuncCode> {
             n += b.ops.len() as u32 + 1; // ops plus the terminator slot
         }
         let mut code = Vec::with_capacity(n as usize);
-        let mut ops: Vec<Op> = Vec::with_capacity((n as usize).saturating_sub(f.blocks.len()));
+        let mut ops: Vec<Op> = Vec::new();
+        let mut gep_steps: Vec<GepSlot> = Vec::new();
         for (bi, b) in f.blocks.iter().enumerate() {
             for (oi, op) in b.ops.iter().enumerate() {
                 let action = plan.map_or(OpAction::None, |p| p.funcs[fi].actions[bi][oi]);
                 let elide = plan.map_or(ElideFlags::default(), |p| p.elide_flags(fi, bi, oi));
-                let (callee, saves_bounds) = match op {
-                    Op::Call { func, .. } => {
-                        let c = program.func_id(func).expect("validated call target");
-                        let saves = plan.is_some_and(|p| p.funcs[c].saves_bounds);
-                        (u32::try_from(c).expect("function count fits u32"), saves)
+                code.push(match op {
+                    Op::Bin { dst, op, a, b } => Code::Bin {
+                        op: *op,
+                        dst: *dst,
+                        a: *a,
+                        b: *b,
+                    },
+                    Op::Mov { dst, a } => Code::Mov { dst: *dst, a: *a },
+                    Op::Load { dst, ptr, ty } => Code::Load {
+                        dst: *dst,
+                        ptr: *ptr,
+                        size: scalar_size(program, *ty),
+                        is_ptr: types.is_ptr(*ty),
+                        promote: matches!(action, OpAction::PromoteAfterLoad),
+                        elide,
+                    },
+                    Op::Store { ptr, val, ty } => Code::Store {
+                        ptr: *ptr,
+                        val: *val,
+                        size: scalar_size(program, *ty),
+                        demote: matches!(action, OpAction::DemoteOnStore),
+                        elide,
+                    },
+                    Op::Gep {
+                        dst,
+                        base,
+                        base_ty,
+                        steps,
+                    } => {
+                        let first = gep_steps.len();
+                        resolve_gep(program, *base_ty, steps, &mut gep_steps);
+                        let (new_index, enters) = match action {
+                            OpAction::GepUpdate {
+                                new_index,
+                                enters_subobject,
+                            } => (new_index, enters_subobject),
+                            _ => (None, false),
+                        };
+                        Code::Gep {
+                            dst: *dst,
+                            base: *base,
+                            steps: u32::try_from(first).expect("GEP table fits u32"),
+                            n_steps: u32::try_from(gep_steps.len() - first)
+                                .expect("GEP steps fit u32"),
+                            base_cost: u32::try_from(steps.len().max(1))
+                                .expect("GEP steps fit u32"),
+                            new_index,
+                            enters,
+                            elide_tag: elide.tag_update,
+                        }
                     }
-                    _ => (u32::MAX, false),
-                };
-                let idx = ops.len() as u32;
-                ops.push(op.clone());
-                code.push(Code::Op {
-                    op: idx,
-                    action,
-                    callee,
-                    saves_bounds,
-                    elide,
+                    _ => {
+                        let (callee, saves_bounds) = match op {
+                            Op::Call { func, .. } => {
+                                let c = program.func_id(func).expect("validated call target");
+                                let saves = plan.is_some_and(|p| p.funcs[c].saves_bounds);
+                                (u32::try_from(c).expect("function count fits u32"), saves)
+                            }
+                            _ => (u32::MAX, false),
+                        };
+                        ops.push(op.clone());
+                        Code::Op {
+                            op: ops.len() as u32 - 1,
+                            action,
+                            callee,
+                            saves_bounds,
+                        }
+                    }
                 });
             }
             let cost = ir_costs::term_cost(&b.term);
@@ -156,9 +328,18 @@ fn predecode(program: &Program, plan: Option<&InstrPlan>) -> Vec<FuncCode> {
                 Terminator::Ret(v) => Code::Ret { cost, val: *v },
             });
         }
-        decoded.push(FuncCode { code, ops });
+        decoded.push(FuncCode {
+            code,
+            ops,
+            gep_steps,
+        });
     }
     decoded
+}
+
+/// The access size of a (validated, hence scalar) load/store type.
+fn scalar_size(program: &Program, ty: TypeId) -> u8 {
+    u8::try_from(program.types.size_of(ty)).expect("scalar access size fits u8")
 }
 
 /// Content fingerprint of a program: FNV-1a over its (deterministic)
@@ -239,11 +420,6 @@ pub fn compile_artifact(program: &Program, config: &VmConfig) -> Result<Compiled
         plan,
         decoded,
     })
-}
-
-enum Flow {
-    Continue,
-    Finished(i64),
 }
 
 /// Result of one [`Vm::step`].
@@ -363,6 +539,11 @@ pub struct Vm<'p> {
     image: LoadedImage,
     temporal: TemporalState,
     stats: RunStats,
+    /// Running `stats.total_instrs()`, kept by the `charge_*` helpers and
+    /// `exec_promote` so the per-step fuel check reads one counter.
+    instrs: u64,
+    /// `main`'s exit code once it has returned; later steps are no-ops.
+    finished: Option<i64>,
     output: Vec<i64>,
     frames: Vec<Frame>,
     /// Retired frames recycled by the next call, so deep call chains
@@ -489,6 +670,8 @@ impl<'p> Vm<'p> {
             gt,
             image,
             temporal: TemporalState::new(config.temporal),
+            instrs: stats.total_instrs(),
+            finished: None,
             stats,
             output: Vec::new(),
             frames: Vec::new(),
@@ -507,16 +690,19 @@ impl<'p> Vm<'p> {
 
     fn charge_base(&mut self, n: u64) {
         self.stats.base_instrs += n;
+        self.instrs += n;
         self.stats.cycles += n * self.config.cycle_model.alu;
     }
 
     fn charge_ifp_arith(&mut self, n: u64) {
         self.stats.ifp_arith_instrs += n;
+        self.instrs += n;
         self.stats.cycles += n * self.config.cycle_model.alu;
     }
 
     fn charge_bounds_ls(&mut self, n: u64) {
         self.stats.bounds_ls_instrs += n;
+        self.instrs += n;
         self.stats.cycles += n * self.config.cycle_model.alu;
     }
 
@@ -531,30 +717,31 @@ impl<'p> Vm<'p> {
 
     fn eval(&self, o: Operand) -> u64 {
         match o {
-            Operand::Reg(r) => self.frames.last().expect("frame")[r],
+            Operand::Reg(r) => self.frames.last().expect("frame")[r].val,
             Operand::Imm(v) => v as u64,
         }
     }
 
     fn bounds_of(&self, o: Operand) -> Option<Bounds> {
         match o {
-            Operand::Reg(r) => self.frames.last().expect("frame").bounds[r.0 as usize],
+            Operand::Reg(r) => self.frames.last().expect("frame")[r].bounds,
             Operand::Imm(_) => None,
         }
     }
 
     fn stamp_of(&self, o: Operand) -> Option<u64> {
         match o {
-            Operand::Reg(r) => self.frames.last().expect("frame").stamps[r.0 as usize],
+            Operand::Reg(r) => self.frames.last().expect("frame")[r].stamp,
             Operand::Imm(_) => None,
         }
     }
 
     fn set_reg(&mut self, r: Reg, v: u64, b: Option<Bounds>, s: Option<u64>) {
-        let f = self.frame();
-        f.regs[r.0 as usize] = v;
-        f.bounds[r.0 as usize] = b;
-        f.stamps[r.0 as usize] = s;
+        self.frame().regs[r.0 as usize] = RegSlot {
+            val: v,
+            bounds: b,
+            stamp: s,
+        };
     }
 
     fn trap(&mut self, trap: Trap) -> VmError {
@@ -639,19 +826,29 @@ impl<'p> Vm<'p> {
         (result, host)
     }
 
-    /// The dispatch loop: enters `main` and steps until it returns.
+    /// The dispatch loop: enters `main` (unless [`Vm::step`] already
+    /// did) and steps until it returns.
     fn run_loop(&mut self) -> Result<i64, VmError> {
         // One Arc clone for the whole run: the dispatch loop borrows the
         // streams from this local handle, not from `self`, so `&Op`
         // references coexist with `&mut self` in the handlers.
         let art = Arc::clone(&self.artifact);
-        self.enter_main()?;
-        loop {
-            match self.step_inner(&art)? {
-                StepOutcome::Running => {}
-                StepOutcome::Finished(code) => return Ok(code),
-            }
+        if let Some(code) = self.resume()? {
+            return Ok(code);
         }
+        match self.dispatch::<false>(&art)? {
+            StepOutcome::Finished(code) => Ok(code),
+            StepOutcome::Running => unreachable!("the run loop stops only when main returns"),
+        }
+    }
+
+    /// Readies the machine for its next step: `Some(exit code)` once
+    /// `main` has returned, otherwise enters `main` on the first call.
+    fn resume(&mut self) -> Result<Option<i64>, VmError> {
+        if self.finished.is_none() && self.frames.is_empty() {
+            self.enter_main()?;
+        }
+        Ok(self.finished)
     }
 
     /// Pushes the initial `main` frame.
@@ -666,67 +863,162 @@ impl<'p> Vm<'p> {
     }
 
     /// Executes one operation (or terminator). The first call enters
-    /// `main`. Between steps, harnesses may inspect or corrupt machine
-    /// state through [`Vm::mem_mut`] — how the fault-injection tests model
-    /// an attacker scribbling over metadata from another thread.
+    /// `main`; once `main` has returned, every later call returns the same
+    /// [`StepOutcome::Finished`] without executing or charging anything.
+    /// Between steps, harnesses may inspect or corrupt machine state
+    /// through [`Vm::mem_mut`] — how the fault-injection tests model an
+    /// attacker scribbling over metadata from another thread.
     ///
     /// # Errors
     ///
     /// See [`VmError`]; a trap ends the run.
     pub fn step(&mut self) -> Result<StepOutcome, VmError> {
-        if self.frames.is_empty() {
-            self.enter_main()?;
+        if let Some(code) = self.resume()? {
+            return Ok(StepOutcome::Finished(code));
         }
         let art = Arc::clone(&self.artifact);
-        self.step_inner(&art)
+        self.dispatch::<true>(&art)
     }
 
-    /// The dispatch loop body: one pre-decoded [`Code`] slot. A frame is
-    /// guaranteed to be active; `art` is this VM's own artifact, lifted
+    /// The dispatch loop over pre-decoded [`Code`] slots: runs until
+    /// `main` returns, or for exactly one slot when `SINGLE_STEP`. A frame
+    /// is guaranteed to be active; `art` is this VM's own artifact, lifted
     /// into a caller-held handle so op borrows don't pin `self`.
-    fn step_inner(&mut self, art: &CompiledArtifact) -> Result<StepOutcome, VmError> {
-        if self.stats.total_instrs() > self.config.fuel {
-            return Err(VmError::OutOfFuel);
-        }
+    ///
+    /// The active function's stream and `pc` live in locals; the frame's
+    /// `pc` is written back only where another frame becomes active (a
+    /// call or return) and when a single step ends.
+    fn dispatch<const SINGLE_STEP: bool>(
+        &mut self,
+        art: &CompiledArtifact,
+    ) -> Result<StepOutcome, VmError> {
         let frame = self.frames.last().expect("frame");
-        let fc = &art.decoded[frame.func];
-        let code = fc.code[frame.pc];
-        let flow = match code {
-            Code::Op {
-                op,
-                action,
-                callee,
-                saves_bounds,
-                elide,
-            } => {
-                self.frame().pc += 1;
-                self.exec_op(&fc.ops[op as usize], action, callee, saves_bounds, elide)?
+        let mut fc = &art.decoded[frame.func];
+        let mut pc = frame.pc;
+        loop {
+            debug_assert_eq!(self.instrs, self.stats.total_instrs());
+            if self.instrs > self.config.fuel {
+                return Err(VmError::OutOfFuel);
             }
-            Code::Jmp { cost, target } => {
-                self.charge_base(cost);
-                self.frame().pc = target as usize;
-                Flow::Continue
+            let code = fc.code[pc];
+            pc += 1;
+            match code {
+                Code::Bin { op, dst, a, b } => {
+                    self.charge_base(1);
+                    let va = self.eval(a) as i64;
+                    let vb = self.eval(b) as i64;
+                    let r = eval_bin(op, va, vb).map_err(|t| self.trap(t))?;
+                    self.set_reg(dst, r as u64, None, None);
+                }
+                Code::Mov { dst, a } => {
+                    self.charge_base(1);
+                    let v = self.eval(a);
+                    let b = self.bounds_of(a);
+                    let s = self.stamp_of(a);
+                    self.set_reg(dst, v, b, s);
+                }
+                Code::Load {
+                    dst,
+                    ptr,
+                    size,
+                    is_ptr,
+                    promote,
+                    elide,
+                } => self.exec_load(dst, ptr, u64::from(size), is_ptr, promote, elide)?,
+                Code::Store {
+                    ptr,
+                    val,
+                    size,
+                    demote,
+                    elide,
+                } => self.exec_store(ptr, val, u64::from(size), demote, elide)?,
+                Code::Gep {
+                    dst,
+                    base,
+                    steps,
+                    n_steps,
+                    base_cost,
+                    new_index,
+                    enters,
+                    elide_tag,
+                } => {
+                    let bp = TaggedPtr::from_raw(self.eval(base));
+                    // The address walk, remembering the base (and size) of
+                    // the last field-selected subobject for static narrowing.
+                    let mut addr = bp.addr();
+                    let mut last_field: Option<(u64, u64)> = None;
+                    let first = steps as usize;
+                    for step in &fc.gep_steps[first..first + n_steps as usize] {
+                        let delta = match *step {
+                            GepSlot::Delta(d) => d,
+                            GepSlot::Field { delta, size } => {
+                                addr = addr.wrapping_add(delta) & ifp_tag::ADDR_MASK;
+                                last_field = Some((addr, size));
+                                continue;
+                            }
+                            GepSlot::Index { reg, scale } => {
+                                (self.frames.last().expect("frame")[reg].val as i64)
+                                    .wrapping_mul(scale) as u64
+                            }
+                        };
+                        addr = addr.wrapping_add(delta) & ifp_tag::ADDR_MASK;
+                    }
+                    self.gep_apply(
+                        dst,
+                        base,
+                        bp,
+                        addr,
+                        last_field,
+                        u64::from(base_cost),
+                        new_index,
+                        enters,
+                        elide_tag,
+                    );
+                }
+                Code::Op {
+                    op,
+                    action,
+                    callee,
+                    saves_bounds,
+                } => {
+                    // A call activates the callee's frame: park `pc` in the
+                    // caller's and continue from whichever frame is on top.
+                    self.frame().pc = pc;
+                    self.exec_op(&fc.ops[op as usize], action, callee, saves_bounds)?;
+                    let frame = self.frames.last().expect("frame");
+                    fc = &art.decoded[frame.func];
+                    pc = frame.pc;
+                }
+                Code::Jmp { cost, target } => {
+                    self.charge_base(cost);
+                    pc = target as usize;
+                }
+                Code::Br {
+                    cost,
+                    cond,
+                    then_pc,
+                    else_pc,
+                } => {
+                    self.charge_base(cost);
+                    let c = self.eval(cond);
+                    pc = if c != 0 { then_pc } else { else_pc } as usize;
+                }
+                Code::Ret { cost, val } => {
+                    self.charge_base(cost);
+                    if let Some(code) = self.exec_ret(val)? {
+                        self.finished = Some(code);
+                        return Ok(StepOutcome::Finished(code));
+                    }
+                    let frame = self.frames.last().expect("frame");
+                    fc = &art.decoded[frame.func];
+                    pc = frame.pc;
+                }
             }
-            Code::Br {
-                cost,
-                cond,
-                then_pc,
-                else_pc,
-            } => {
-                self.charge_base(cost);
-                let c = self.eval(cond);
-                self.frame().pc = if c != 0 { then_pc } else { else_pc } as usize;
-                Flow::Continue
+            if SINGLE_STEP {
+                self.frame().pc = pc;
+                return Ok(StepOutcome::Running);
             }
-            Code::Ret { cost, val } => {
-                self.charge_base(cost);
-                self.exec_ret(val)?
-            }
-        };
-        Ok(match flow {
-            Flow::Continue => StepOutcome::Running,
-            Flow::Finished(code) => StepOutcome::Finished(code),
-        })
+        }
     }
 
     /// The simulated memory system, for inspection and fault injection
@@ -775,15 +1067,11 @@ impl<'p> Vm<'p> {
     }
 
     /// Pops a recycled frame (or makes a fresh one) with `num_regs`
-    /// zeroed registers, bounds, and stamps.
+    /// zeroed register slots.
     fn take_pooled_frame(&mut self, num_regs: usize) -> Frame {
         let mut fr = self.frame_pool.pop().unwrap_or_default();
         fr.regs.clear();
-        fr.regs.resize(num_regs, 0);
-        fr.bounds.clear();
-        fr.bounds.resize(num_regs, None);
-        fr.stamps.clear();
-        fr.stamps.resize(num_regs, None);
+        fr.regs.resize(num_regs, RegSlot::default());
         fr.global_rows.clear();
         fr
     }
@@ -799,7 +1087,9 @@ impl<'p> Vm<'p> {
         self.frames.push(fr);
     }
 
-    fn exec_ret(&mut self, v: Option<Operand>) -> Result<Flow, VmError> {
+    /// Returns from the active frame: `Some(exit code)` when that frame
+    /// was `main`'s.
+    fn exec_ret(&mut self, v: Option<Operand>) -> Result<Option<i64>, VmError> {
         let value = v.map(|o| self.eval(o));
         let vbounds = v.and_then(|o| self.bounds_of(o));
         let vstamp = v.and_then(|o| self.stamp_of(o));
@@ -831,7 +1121,7 @@ impl<'p> Vm<'p> {
                 .map_or(NO_FUNC, |f| u32::try_from(f.func).unwrap_or(NO_FUNC)),
         );
         if self.frames.is_empty() {
-            return Ok(Flow::Finished(value.unwrap_or(0) as i64));
+            return Ok(Some(value.unwrap_or(0) as i64));
         }
         if let Some(dst) = frame.ret_dst {
             let callee_instrumented = self.program.funcs[frame.func].instrumented;
@@ -839,32 +1129,19 @@ impl<'p> Vm<'p> {
             self.set_reg(dst, value.unwrap_or(0), b, vstamp);
         }
         self.frame_pool.push(frame);
-        Ok(Flow::Continue)
+        Ok(None)
     }
 
+    /// Executes an op left on [`Code::Op`] (every op without a typed
+    /// slot).
     fn exec_op(
         &mut self,
         op: &Op,
         action: OpAction,
         callee: u32,
         saves_bounds: bool,
-        elide: ElideFlags,
-    ) -> Result<Flow, VmError> {
+    ) -> Result<(), VmError> {
         match op {
-            Op::Bin { dst, op, a, b } => {
-                self.charge_base(1);
-                let va = self.eval(*a) as i64;
-                let vb = self.eval(*b) as i64;
-                let r = eval_bin(*op, va, vb).map_err(|t| self.trap(t))?;
-                self.set_reg(*dst, r as u64, None, None);
-            }
-            Op::Mov { dst, a } => {
-                self.charge_base(1);
-                let v = self.eval(*a);
-                let b = self.bounds_of(*a);
-                let s = self.stamp_of(*a);
-                self.set_reg(*dst, v, b, s);
-            }
             Op::Alloca { dst, ty, count } => {
                 self.exec_alloca(action, *dst, *ty, *count)?;
             }
@@ -924,25 +1201,6 @@ impl<'p> Vm<'p> {
                     self.charge_alloc(cost);
                 }
             }
-            Op::Gep {
-                dst,
-                base,
-                base_ty,
-                steps,
-            } => {
-                self.exec_gep(action, *dst, *base, *base_ty, steps, elide)?;
-            }
-            Op::Load { dst, ptr, ty } => {
-                let size = u64::from(self.program.types.size_of(*ty));
-                let is_ptr = self.program.types.is_ptr(*ty);
-                let promote = matches!(action, OpAction::PromoteAfterLoad);
-                self.exec_load(*dst, *ptr, size, is_ptr, promote, elide)?;
-            }
-            Op::Store { ptr, val, ty } => {
-                let size = u64::from(self.program.types.size_of(*ty));
-                let demote = matches!(action, OpAction::DemoteOnStore);
-                self.exec_store(*ptr, *val, size, demote, elide)?;
-            }
             Op::AddrOfGlobal { dst, global } => {
                 let registered = self.instrumented()
                     && matches!(action, OpAction::GlobalAddr { registered: true });
@@ -978,19 +1236,30 @@ impl<'p> Vm<'p> {
                 // Marshal arguments straight from the caller's registers
                 // into the recycled frame — no staging vectors.
                 for (i, a) in args.iter().enumerate() {
-                    fr.regs[i] = self.eval(*a);
-                    if copy_bounds {
-                        fr.bounds[i] = self.bounds_of(*a);
-                    }
-                    fr.stamps[i] = self.stamp_of(*a);
+                    fr.regs[i] = RegSlot {
+                        val: self.eval(*a),
+                        bounds: if copy_bounds {
+                            self.bounds_of(*a)
+                        } else {
+                            None
+                        },
+                        stamp: self.stamp_of(*a),
+                    };
                 }
                 self.activate_frame(fr, callee, *dst);
             }
             Op::CallExt { dst, ext, args } => {
                 self.exec_ext(*dst, *ext, args)?;
             }
+            Op::Bin { .. }
+            | Op::Mov { .. }
+            | Op::Gep { .. }
+            | Op::Load { .. }
+            | Op::Store { .. } => {
+                unreachable!("op has a typed slot")
+            }
         }
-        Ok(Flow::Continue)
+        Ok(())
     }
 
     fn layout_addr_for(&self, layout: Option<ifp_compiler::TypeId>, cap: usize) -> u64 {
@@ -1228,73 +1497,10 @@ impl<'p> Vm<'p> {
         }
     }
 
-    fn exec_gep(
-        &mut self,
-        action: OpAction,
-        dst: Reg,
-        base: Operand,
-        base_ty: ifp_compiler::TypeId,
-        steps: &[GepStep],
-        elide: ElideFlags,
-    ) -> Result<(), VmError> {
-        let types = &self.program.types;
-        let base_raw = self.eval(base);
-        let bp = TaggedPtr::from_raw(base_raw);
-
-        // Address computation, remembering the base (and size) of the
-        // last field-selected subobject for static narrowing.
-        let mut addr = bp.addr();
-        let mut cur_ty = base_ty;
-        let mut last_field: Option<(u64, u64)> = None;
-        for step in steps {
-            match step {
-                GepStep::Field(i) => {
-                    let field = types.field(cur_ty, *i);
-                    addr = addr.wrapping_add(u64::from(field.offset)) & ifp_tag::ADDR_MASK;
-                    cur_ty = field.ty;
-                    last_field = Some((addr, u64::from(types.size_of(cur_ty))));
-                }
-                GepStep::Index(o) => {
-                    let n = self.eval(*o) as i64;
-                    let elem = match types.get(cur_ty) {
-                        Type::Array { elem, .. } => {
-                            let e = *elem;
-                            cur_ty = e;
-                            e
-                        }
-                        _ => cur_ty,
-                    };
-                    let delta = n.wrapping_mul(i64::from(types.size_of(elem)));
-                    addr = addr.wrapping_add(delta as u64) & ifp_tag::ADDR_MASK;
-                }
-            }
-        }
-
-        let base_cost = steps.len().max(1) as u64;
-        let (new_index, enters) = match action {
-            OpAction::GepUpdate {
-                new_index,
-                enters_subobject,
-            } => (new_index, enters_subobject),
-            _ => (None, false),
-        };
-        self.gep_apply(
-            dst,
-            base,
-            bp,
-            addr,
-            last_field,
-            base_cost,
-            new_index,
-            enters,
-            elide.tag_update,
-        );
-        Ok(())
-    }
-
     /// Everything a GEP does after the address walk: charging, the
     /// ifpadd/ifpidx/ifpbnd tag maintenance, static narrowing, and the
-    /// destination write, after [`Vm::exec_gep`] has walked the types.
+    /// destination write, after the dispatch loop has walked the
+    /// resolved steps.
     #[allow(clippy::too_many_arguments)]
     fn gep_apply(
         &mut self,
@@ -1551,6 +1757,7 @@ impl<'p> Vm<'p> {
     /// memory, the same way it recovers the bounds).
     fn exec_promote(&mut self, raw: u64) -> Result<(u64, Option<Bounds>, Option<u64>), VmError> {
         self.stats.promote_instrs += 1;
+        self.instrs += 1;
         self.stats.promotes.total += 1;
         if self.no_promote() {
             // The ablation: promote retires like a NOP.
@@ -1688,8 +1895,8 @@ impl<'p> Vm<'p> {
 }
 
 impl std::ops::Index<Reg> for Frame {
-    type Output = u64;
-    fn index(&self, r: Reg) -> &u64 {
+    type Output = RegSlot;
+    fn index(&self, r: Reg) -> &RegSlot {
         &self.regs[r.0 as usize]
     }
 }

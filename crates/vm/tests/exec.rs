@@ -2,7 +2,7 @@
 //! the spatial-safety detections the paper's design promises.
 
 use ifp_compiler::{Operand, Program, ProgramBuilder};
-use ifp_vm::{run, AllocatorKind, Mode, VmConfig, VmError};
+use ifp_vm::{run, AllocatorKind, Mode, StepOutcome, VmConfig, VmError};
 
 fn all_modes() -> Vec<Mode> {
     vec![
@@ -478,6 +478,61 @@ fn fuel_limit_catches_infinite_loops() {
 
 fn list_program() -> Program {
     list_program_n(50)
+}
+
+#[test]
+fn fuel_boundary_is_exact() {
+    // The smallest fuel with which `list_program` completes, per mode.
+    // Fuel is checked before each step against the instructions retired
+    // so far, so the boundary is the total before `main`'s final return.
+    let p = list_program();
+    for (mode, min_fuel) in [
+        (Mode::Baseline, 10_519),
+        (Mode::instrumented(AllocatorKind::Wrapped), 12_419),
+        (Mode::instrumented(AllocatorKind::Subheap), 5_062),
+    ] {
+        let unlimited = run_mode(&p, mode).unwrap();
+        let with_fuel = |fuel| VmConfig {
+            fuel,
+            ..VmConfig::with_mode(mode)
+        };
+        assert!(
+            matches!(run(&p, &with_fuel(min_fuel - 1)), Err(VmError::OutOfFuel)),
+            "{mode}: fuel {} must run out",
+            min_fuel - 1
+        );
+        let r = run(&p, &with_fuel(min_fuel)).unwrap_or_else(|e| panic!("{mode}: {e}"));
+        assert_eq!(r.stats, unlimited.stats, "{mode}");
+        assert_eq!(r.output, unlimited.output, "{mode}");
+    }
+}
+
+#[test]
+fn step_after_finish_does_nothing() {
+    let mut pb = ProgramBuilder::new();
+    let mut f = pb.func("main", 0);
+    f.print_int(5i64);
+    f.ret(Some(Operand::Imm(7)));
+    pb.finish_func(f);
+    let p = pb.build();
+    let cfg = VmConfig::default();
+
+    let mut vm = ifp_vm::Vm::new(&p, &cfg).unwrap();
+    let code = loop {
+        match vm.step().unwrap() {
+            StepOutcome::Running => {}
+            StepOutcome::Finished(code) => break code,
+        }
+    };
+    assert_eq!(code, 7);
+    for _ in 0..3 {
+        assert_eq!(vm.step().unwrap(), StepOutcome::Finished(7));
+    }
+    // Neither the extra steps nor `run` re-entered `main`.
+    let r = vm.run().unwrap();
+    assert_eq!(r.exit_code, 7);
+    assert_eq!(r.output, vec![5]);
+    assert_eq!(r.stats, run(&p, &cfg).unwrap().stats);
 }
 
 #[test]
