@@ -450,6 +450,36 @@ mod tests {
     }
 
     #[test]
+    fn record_macs_match_known_answers() {
+        // Pinned values: a MAC change would invalidate every stored
+        // record, so the encoding must not drift.
+        let l = LocalOffsetMeta {
+            object_size: 20,
+            layout_table: 0x9000,
+            mac: 0,
+        };
+        assert_eq!(l.compute_mac(0x1020, key()), 0x9032_2a1b_3981);
+        let l = LocalOffsetMeta {
+            object_size: 1008,
+            layout_table: 0,
+            mac: 0,
+        };
+        assert_eq!(
+            l.compute_mac(0x7fff_f000, MacKey::new(1, 2)),
+            0xb85f_bd81_a027
+        );
+        let s = SubheapMeta {
+            slot_start: 0x20,
+            slot_end: 0x1000,
+            slot_size: 48,
+            object_size: 40,
+            layout_table: 0xa000,
+            mac: 0,
+        };
+        assert_eq!(s.compute_mac(0x4000_0000, key()), 0x7fc9_4c7f_2422);
+    }
+
+    #[test]
     fn local_offset_mac_binds_location() {
         let m = LocalOffsetMeta::new(64, 0, 0x1040, key());
         assert!(m.resolve(0x1040, key()).is_ok());

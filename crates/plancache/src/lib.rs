@@ -12,7 +12,7 @@
 //! `(program fingerprint, analysis fingerprint, instrumented?,
 //! elide_checks?)`.
 //! The fingerprint is FNV-1a over the program's deterministic rendering
-//! ([`program_fingerprint`]), so structurally identical programs built
+//! (`program_fingerprint`), so structurally identical programs built
 //! independently share one artifact. The other key components are
 //! exactly the compile *inputs* of [`compile_artifact`]; allocator
 //! kind, the no-promote ablation, temporal policy, cache geometry, and
@@ -40,14 +40,37 @@
 #![warn(missing_docs)]
 
 use ifp_compiler::Program;
-use ifp_vm::{
-    compile_artifact, program_fingerprint, CompiledArtifact, RunResult, Vm, VmConfig, VmError,
-    VmHost,
-};
+use ifp_vm::{compile_artifact, CompiledArtifact, RunResult, Vm, VmConfig, VmError, VmHost};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
+
+/// Content fingerprint of a program: FNV-1a over its (deterministic)
+/// `Debug` rendering, streamed — no intermediate string is built. Two
+/// structurally identical programs (same functions, blocks, ops, types,
+/// globals) fingerprint identically even when built independently, which
+/// is what lets the cache amortize compilation across rebuilt copies.
+///
+/// Rendering a program costs about as much as a short run does, so only
+/// a cache lookup pays it: uncached runs never fingerprint.
+#[must_use]
+fn program_fingerprint(program: &Program) -> u64 {
+    use std::fmt::Write as _;
+    struct Fnv(u64);
+    impl fmt::Write for Fnv {
+        fn write_str(&mut self, s: &str) -> fmt::Result {
+            for b in s.bytes() {
+                self.0 ^= u64::from(b);
+                self.0 = self.0.wrapping_mul(0x100_0000_01b3);
+            }
+            Ok(())
+        }
+    }
+    let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+    let _ = write!(h, "{program:?}");
+    h.0
+}
 
 /// The full cache key. `fingerprint` addresses program content; the
 /// rest are the compile inputs of [`compile_artifact`] — nothing else

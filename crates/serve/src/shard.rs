@@ -105,7 +105,8 @@ pub struct ShardOutcome {
     /// Global-table rows leaked across every host still pooled at shard
     /// teardown — the release-mode leak gate; must be zero.
     pub pool_leaked_rows: u64,
-    /// Forensic records, in request order (capped by the report).
+    /// Forensic records of the shard's first `forensic_cap` trapped
+    /// requests, in request order (merged and capped again by the report).
     pub forensics: Vec<Forensic>,
     /// Concatenated JSONL trace snapshots of the first trapped traced
     /// requests (capped per config).
@@ -221,13 +222,19 @@ pub(crate) fn run_shard(
                 if good {
                     counters.good_case_traps += 1;
                 }
-                out.forensics.push(Forensic {
-                    request_id: req.id,
-                    tenant: t.name,
-                    case: set.label(req.kind),
-                    trap: trap.to_string(),
-                    func: func.clone(),
-                });
+                // The lane is in request-id order and the report keeps
+                // the `forensic_cap` lowest ids service-wide, so entries
+                // past a shard's first `forensic_cap` are never kept:
+                // skip rendering them.
+                if out.forensics.len() < cfg.forensic_cap {
+                    out.forensics.push(Forensic {
+                        request_id: req.id,
+                        tenant: t.name,
+                        case: set.label(req.kind),
+                        trap: trap.to_string(),
+                        func: func.clone(),
+                    });
+                }
             }
             Err(_) => {
                 // A non-trap abort (e.g. the baseline libc allocator
@@ -264,4 +271,39 @@ pub(crate) fn run_shard(
     }
     out.pool_leaked_rows = pool.iter().map(VmHost::leaked_rows).sum();
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::gen::{generate_requests, standard_tenants};
+    use crate::ServeConfig;
+
+    #[test]
+    fn shard_keeps_only_its_first_forensic_cap_entries() {
+        let cfg = |forensic_cap| ServeConfig {
+            requests: 256,
+            workers: 1,
+            forensic_cap,
+            ..ServeConfig::default()
+        };
+        let tenants = standard_tenants();
+        let set = ProgramSet::build();
+        // The whole stream as one lane: still in request-id order.
+        let lane = generate_requests(&cfg(0), &tenants);
+        let all = run_shard(&lane, &tenants, &set, &cfg(usize::MAX));
+        let cap = 4;
+        assert!(all.forensics.len() > cap, "the cap must bind");
+        let capped = run_shard(&lane, &tenants, &set, &cfg(cap));
+        assert!(capped.forensics.len() <= cap);
+        let key = |f: &Forensic| (f.request_id, f.case.clone(), f.trap.clone(), f.func.clone());
+        assert_eq!(
+            capped.forensics.iter().map(key).collect::<Vec<_>>(),
+            all.forensics[..cap].iter().map(key).collect::<Vec<_>>(),
+            "a capped shard keeps exactly the lowest-id entries"
+        );
+        assert!(run_shard(&lane, &tenants, &set, &cfg(0))
+            .forensics
+            .is_empty());
+    }
 }

@@ -342,43 +342,20 @@ fn scalar_size(program: &Program, ty: TypeId) -> u8 {
     u8::try_from(program.types.size_of(ty)).expect("scalar access size fits u8")
 }
 
-/// Content fingerprint of a program: FNV-1a over its (deterministic)
-/// `Debug` rendering, streamed — no intermediate string is built. Two
-/// structurally identical programs (same functions, blocks, ops, types,
-/// globals) fingerprint identically even when built independently, which
-/// is what lets a cache amortize compilation across rebuilt copies.
-#[must_use]
-pub fn program_fingerprint(program: &Program) -> u64 {
-    use std::fmt::Write as _;
-    struct Fnv(u64);
-    impl std::fmt::Write for Fnv {
-        fn write_str(&mut self, s: &str) -> std::fmt::Result {
-            for b in s.bytes() {
-                self.0 ^= u64::from(b);
-                self.0 = self.0.wrapping_mul(0x100_0000_01b3);
-            }
-            Ok(())
-        }
-    }
-    let mut h = Fnv(0xcbf2_9ce4_8422_2325);
-    let _ = write!(h, "{program:?}");
-    h.0
-}
-
 /// Everything the interpreter derives from a program before the first
 /// step, compiled once and shareable across runs and threads: the
 /// instrumentation plan and the pre-decoded instruction streams.
 ///
-/// An artifact is keyed by program content and compile inputs — see
-/// [`compile_artifact`] — never by allocator kind, promote ablation,
+/// An artifact depends only on program content and compile inputs — see
+/// [`compile_artifact`] — never on allocator kind, promote ablation,
 /// temporal policy, cache geometry, or fuel, none of which participate
-/// in decode/analyze. Construction cost ([`CompiledArtifact::compile_ns`])
+/// in decode/analyze. It carries no content fingerprint: a cache that
+/// shares artifacts keys them itself, so an uncached run never hashes
+/// its program. Construction cost ([`CompiledArtifact::compile_ns`])
 /// is host telemetry only; no modeled statistic depends on whether an
 /// artifact was freshly compiled or recalled from a cache.
 #[derive(Debug)]
 pub struct CompiledArtifact {
-    /// [`program_fingerprint`] of the source program.
-    pub fingerprint: u64,
     /// Whether the artifact embeds an instrumentation plan.
     pub instrumented: bool,
     /// Whether statically proven elisions were baked into the plan
@@ -389,6 +366,19 @@ pub struct CompiledArtifact {
     pub compile_ns: u64,
     plan: Option<InstrPlan>,
     decoded: Vec<FuncCode>,
+}
+
+impl CompiledArtifact {
+    /// Whether the decoded streams have `program`'s shape: one stream
+    /// per function, and one slot per op and terminator of its blocks.
+    /// O(blocks), no formatting — a cheap guard against pairing an
+    /// artifact with the wrong program, not a content check.
+    fn matches_shape_of(&self, program: &Program) -> bool {
+        self.decoded.len() == program.funcs.len()
+            && self.decoded.iter().zip(&program.funcs).all(|(fc, f)| {
+                fc.code.len() == f.blocks.iter().map(|b| b.ops.len() + 1).sum::<usize>()
+            })
+    }
 }
 
 /// Compiles `program` into a [`CompiledArtifact`] for `config`:
@@ -413,7 +403,6 @@ pub fn compile_artifact(program: &Program, config: &VmConfig) -> Result<Compiled
     let plan = instrumented.then(|| ifp_analyze::instr_plan(program, config.elide_checks));
     let decoded = predecode(program, plan.as_ref());
     Ok(CompiledArtifact {
-        fingerprint: program_fingerprint(program),
         instrumented,
         elide_checks,
         compile_ns: u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX),
@@ -589,9 +578,10 @@ impl<'p> Vm<'p> {
     /// instead of validating/analyzing/decoding the program again. The
     /// artifact must have been produced by [`compile_artifact`] from a
     /// structurally identical program under a config agreeing on
-    /// `mode.is_instrumented()` and `elide_checks` (checked by
-    /// `debug_assert`); content addressing
-    /// makes a stale artifact impossible when the fingerprint matches.
+    /// `mode.is_instrumented()` and `elide_checks`. Both config facts and
+    /// the artifact's shape (one stream per function, one slot per op and
+    /// terminator) are checked by `debug_assert`; a content-addressed
+    /// cache makes a stale artifact impossible when its key matches.
     ///
     /// Runs from a shared artifact are bit-identical to fresh runs in
     /// every modeled statistic: [`Vm::with_host`] itself delegates
@@ -602,9 +592,8 @@ impl<'p> Vm<'p> {
         artifact: &Arc<CompiledArtifact>,
         mut host: VmHost,
     ) -> Self {
-        debug_assert_eq!(
-            artifact.fingerprint,
-            program_fingerprint(program),
+        debug_assert!(
+            artifact.matches_shape_of(program),
             "artifact compiled from a different program"
         );
         debug_assert_eq!(artifact.instrumented, config.mode.is_instrumented());
@@ -761,11 +750,16 @@ impl<'p> Vm<'p> {
             lower: bounds.map_or(0, |b| b.0),
             upper: bounds.map_or(0, |b| b.1),
         });
-        let funcs: Vec<String> = self.program.funcs.iter().map(|f| f.name.clone()).collect();
-        let forensics = self
-            .tracer
-            .forensics(kind, addr, size, bounds, &func, &funcs)
-            .map(Box::new);
+        // Forensics need the trace ring; skip collecting function names
+        // when every category is off (the common, untraced trap).
+        let forensics = if self.tracer.any_enabled() {
+            let funcs: Vec<String> = self.program.funcs.iter().map(|f| f.name.clone()).collect();
+            self.tracer
+                .forensics(kind, addr, size, bounds, &func, &funcs)
+                .map(Box::new)
+        } else {
+            None
+        };
         VmError::Trap {
             trap,
             func,

@@ -26,9 +26,7 @@ mod interp;
 mod loader;
 pub mod stats;
 
-pub use interp::{
-    compile_artifact, program_fingerprint, CompiledArtifact, StepOutcome, Vm, VmHost,
-};
+pub use interp::{compile_artifact, CompiledArtifact, StepOutcome, Vm, VmHost};
 pub use stats::{ElisionStats, ObjectStats, PromoteStats, RunStats};
 
 use ifp_compiler::Program;

@@ -535,6 +535,30 @@ fn step_after_finish_does_nothing() {
     assert_eq!(r.stats, run(&p, &cfg).unwrap().stats);
 }
 
+#[cfg(debug_assertions)]
+#[test]
+#[should_panic(expected = "artifact compiled from a different program")]
+fn artifact_guard_rejects_a_program_of_another_shape() {
+    // A `main` that returns 0, plus `extra` unused helper functions.
+    let program_with_helpers = |extra: usize| {
+        let mut pb = ProgramBuilder::new();
+        for i in 0..extra {
+            let mut h = pb.func(&format!("helper{i}"), 0);
+            h.ret(Some(Operand::Imm(0)));
+            pb.finish_func(h);
+        }
+        let mut f = pb.func("main", 0);
+        f.ret(Some(Operand::Imm(0)));
+        pb.finish_func(f);
+        pb.build()
+    };
+    let cfg = VmConfig::default();
+    let artifact =
+        std::sync::Arc::new(ifp_vm::compile_artifact(&program_with_helpers(0), &cfg).unwrap());
+    let other = program_with_helpers(1);
+    let _ = ifp_vm::Vm::with_artifact(&other, &cfg, &artifact, ifp_vm::VmHost::new());
+}
+
 #[test]
 fn odd_function_names_round_trip_through_trace_jsonl() {
     // Builder function names are arbitrary strings. The JSONL writer
